@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 
 #include "common/fault_injection.h"
 
@@ -29,24 +30,32 @@ void HttpServer::Stop() {
   {
     // Unblock connection threads parked in recv.
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& conn : connections_) conn->Shutdown();
+    for (auto& [id, connection] : connections_) connection.conn->Shutdown();
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  std::vector<std::thread> threads;
+  std::map<uint64_t, Connection> open;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    threads.swap(connection_threads_);
-    connections_.clear();
+    open.swap(connections_);
   }
-  for (auto& thread : threads) {
-    if (thread.joinable()) thread.join();
+  for (auto& [id, connection] : open) connection.thread.join();
+  ReapFinished();
+}
+
+void HttpServer::ReapFinished() {
+  std::vector<std::thread> finished;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    finished.swap(finished_);
   }
+  for (auto& thread : finished) thread.join();
 }
 
 void HttpServer::AcceptLoop() {
   while (!stopping_.load()) {
+    ReapFinished();
     struct pollfd pfd;
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
@@ -59,8 +68,13 @@ void HttpServer::AcceptLoop() {
     if (ready == 0) continue;  // timeout: re-check stopping_
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;
+      if (errno != EINTR && errno != ECONNABORTED) {
+        // Out of fds (EMFILE/ENFILE) or buffers: the connection stays
+        // queued, and poll() would report it again at once. Back off one
+        // poll interval, then retry — finished connections free fds.
+        std::this_thread::sleep_for(std::chrono::microseconds(kPollMicros));
+      }
+      continue;
     }
     auto conn = std::make_shared<HttpConnection>(fd);
     (void)conn->SetRecvTimeout(kPollMicros);
@@ -69,13 +83,17 @@ void HttpServer::AcceptLoop() {
       conn->Shutdown();
       return;
     }
-    connections_.push_back(conn);
-    connection_threads_.emplace_back(
-        [this, conn] { ServeConnection(conn); });
+    // Registered under mu_ before the thread can reach its own exit path.
+    uint64_t id = next_connection_id_++;
+    Connection& connection = connections_[id];
+    connection.conn = conn;
+    connection.thread =
+        std::thread([this, id, conn] { ServeConnection(id, conn); });
   }
 }
 
-void HttpServer::ServeConnection(std::shared_ptr<HttpConnection> conn) {
+void HttpServer::ServeConnection(uint64_t id,
+                                 std::shared_ptr<HttpConnection> conn) {
   while (!stopping_.load()) {
     auto request = conn->ReadRequest();
     if (!request.ok()) {
@@ -126,6 +144,12 @@ void HttpServer::ServeConnection(std::shared_ptr<HttpConnection> conn) {
     if (!conn->WriteResponse(response).ok()) break;
   }
   conn->Shutdown();
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = connections_.find(id);
+  // Stop() took the entry over and joins this thread itself.
+  if (it == connections_.end()) return;
+  finished_.push_back(std::move(it->second.thread));
+  connections_.erase(it);
 }
 
 }  // namespace presto

@@ -2,7 +2,9 @@
 #define PRESTOCPP_EXCHANGE_HTTP_HTTP_SERVER_H_
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -17,7 +19,9 @@ namespace presto {
 /// one keep-alive thread per connection. Built for the exchange transport —
 /// localhost only, ephemeral port, handler-per-request — not for the open
 /// internet. Connection threads poll a stop flag between requests (100 ms
-/// receive timeout) so Stop() converges quickly even with idle clients.
+/// receive timeout) so Stop() converges quickly even with idle clients. A
+/// connection's fd and thread are released as soon as it ends, so a
+/// long-lived server holds only its open connections.
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
@@ -37,8 +41,15 @@ class HttpServer {
   int port() const { return port_; }
 
  private:
+  struct Connection {
+    std::shared_ptr<HttpConnection> conn;
+    std::thread thread;
+  };
+
   void AcceptLoop();
-  void ServeConnection(std::shared_ptr<HttpConnection> conn);
+  void ServeConnection(uint64_t id, std::shared_ptr<HttpConnection> conn);
+  /// Joins the threads of connections that ended.
+  void ReapFinished();
 
   Handler handler_;
   int listen_fd_ = -1;
@@ -46,8 +57,12 @@ class HttpServer {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   std::mutex mu_;
-  std::vector<std::thread> connection_threads_;
-  std::vector<std::shared_ptr<HttpConnection>> connections_;
+  uint64_t next_connection_id_ = 0;
+  /// Open connections by id. A connection thread that ends erases its
+  /// entry (dropping the connection) and moves its own thread handle to
+  /// finished_, which the accept loop joins.
+  std::map<uint64_t, Connection> connections_;
+  std::vector<std::thread> finished_;
 };
 
 }  // namespace presto

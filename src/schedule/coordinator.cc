@@ -1,6 +1,9 @@
 #include "schedule/coordinator.h"
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <tuple>
@@ -30,6 +33,15 @@ bool ContainsTableWrite(const PlanNodePtr& node) {
   return false;
 }
 
+// Workers the failure detector considers alive, except `excluded`.
+std::vector<int> LiveWorkers(Cluster* cluster, int excluded = -1) {
+  std::vector<int> alive;
+  for (int w = 0; w < cluster->num_workers(); ++w) {
+    if (w != excluded && cluster->liveness().IsAlive(w)) alive.push_back(w);
+  }
+  return alive;
+}
+
 }  // namespace
 
 Result<int> ChooseSplitTarget(
@@ -56,6 +68,70 @@ Result<int> ChooseSplitTarget(
       std::to_string(node_id));
 }
 
+void ControlQueue::StartTicking(int64_t interval_micros, Job tick) {
+  std::lock_guard<std::mutex> lock(mu_);
+  interval_micros_ = interval_micros > 0 ? interval_micros : 50'000;
+  tick_ = std::move(tick);
+  StartLocked();
+}
+
+bool ControlQueue::Enqueue(Job job, std::optional<Key> key) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stop_ || (key.has_value() && !keys_.insert(*key).second)) {
+      return false;
+    }
+    jobs_.emplace_back(std::move(job), key);
+    StartLocked();
+  }
+  cv_.notify_all();
+  return true;
+}
+
+void ControlQueue::StartLocked() {
+  if (!thread_.joinable()) thread_ = std::thread([this] { Loop(); });
+}
+
+void ControlQueue::Stop() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  if (thread_.joinable()) thread_.join();
+}
+
+void ControlQueue::Loop() {
+  pthread_setname_np(pthread_self(), "presto-control");
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    auto ready = [this] { return stop_ || !jobs_.empty(); };
+    if (tick_) {
+      cv_.wait_for(lock, std::chrono::microseconds(interval_micros_), ready);
+    } else {
+      cv_.wait(lock, ready);
+    }
+    // Drain before stopping: a queued job may be the only thing releasing
+    // a held task callback. Jobs also run ahead of the next tick — a
+    // promotion decides a replica race and must not wait behind another
+    // sampling pass.
+    while (!jobs_.empty()) {
+      auto [job, key] = std::move(jobs_.front());
+      jobs_.pop_front();
+      lock.unlock();
+      job();
+      lock.lock();
+      if (key.has_value()) keys_.erase(*key);
+    }
+    if (stop_) return;
+    if (tick_) {
+      lock.unlock();
+      tick_();
+      lock.lock();
+    }
+  }
+}
+
 QueryExecution::~QueryExecution() {
   // Detach from the failure detector before anything else: a death
   // callback delivered mid-teardown would walk members being destroyed.
@@ -76,19 +152,17 @@ QueryExecution::~QueryExecution() {
     if (running) Cancel(Status::Cancelled("query abandoned"));
     (void)Wait();
   }
-  // Wait() needed the recovery thread alive (it discharges accounting
-  // holds); stop it only now, before members it touches are destroyed. If
-  // Execute() bailed before completing its launch loop, release the
-  // launch gate first so a queued RunRecovery cannot block Stop() forever.
+  // Wait() needed the control thread alive (its queued rounds and
+  // promotions discharge accounting holds); stop it only now, before
+  // members it touches are destroyed. If Execute() bailed before
+  // completing its launch, release the launch gate first so a queued
+  // round cannot block Stop() forever.
   {
     std::lock_guard<std::mutex> lock(mu_);
     launch_complete_ = true;
   }
   done_cv_.notify_all();
-  if (recovery_ != nullptr) recovery_->Stop();
-  // Same for the speculation thread: Wait() may have needed a queued
-  // promotion to discharge a won replica's held callback.
-  if (speculation_ != nullptr) speculation_->Stop();
+  control_.Stop();
   stop_split_thread_.store(true);
   if (split_thread_.joinable()) split_thread_.join();
   stop_fetch_thread_.store(true);
@@ -141,36 +215,46 @@ void QueryExecution::AbortAllTasks() {
   std::vector<std::shared_ptr<TaskClient>> snapshot;
   {
     std::lock_guard<std::mutex> tlock(tasks_mu_);
-    for (auto& fragment_tasks : tasks_) {
-      for (auto& task : fragment_tasks) snapshot.push_back(task);
-    }
-    // Speculative replicas race outside tasks_ but must die with the query.
-    for (auto& [slot, replica] : spec_replicas_) {
-      snapshot.push_back(replica.client);
+    for (const auto& fragment_slots : slots_) {
+      for (const TaskSlot& slot : fragment_slots) {
+        if (slot.client != nullptr) snapshot.push_back(slot.client);
+        // A racing replica dies with the query too.
+        if (slot.replica) snapshot.push_back(slot.replica->client);
+      }
     }
   }
   for (auto& task : snapshot) task->Abort();
 }
 
+std::vector<std::shared_ptr<TaskClient>> QueryExecution::ClientsOf(
+    int fragment) const {
+  std::vector<std::shared_ptr<TaskClient>> clients;
+  std::lock_guard<std::mutex> tlock(tasks_mu_);
+  for (size_t f = 0; f < slots_.size(); ++f) {
+    if (fragment >= 0 && f != static_cast<size_t>(fragment)) continue;
+    for (const TaskSlot& slot : slots_[f]) {
+      // Null only while Execute() is still building the clients.
+      if (slot.client != nullptr) clients.push_back(slot.client);
+    }
+  }
+  return clients;
+}
+
 std::vector<TaskProgress> QueryExecution::TaskProgressSnapshot() const {
   std::vector<TaskProgress> progress;
   std::lock_guard<std::mutex> tlock(tasks_mu_);
-  for (size_t f = 0; f < tasks_.size(); ++f) {
-    for (size_t t = 0; t < tasks_[f].size(); ++t) {
-      const std::shared_ptr<TaskClient>& task = tasks_[f][t];
-      if (task == nullptr) continue;
+  for (size_t f = 0; f < slots_.size(); ++f) {
+    for (size_t t = 0; t < slots_[f].size(); ++t) {
+      const TaskSlot& slot = slots_[f][t];
+      if (slot.client == nullptr) continue;
       TaskProgress entry;
       entry.fragment_id = static_cast<int>(f);
       entry.task_index = static_cast<int>(t);
-      if (f < placement_.size() && t < placement_[f].size()) {
-        entry.worker = placement_[f][t];
-      }
-      if (f < generations_.size() && t < generations_[f].size()) {
-        entry.generation = generations_[f][t];
-      }
+      entry.worker = slot.worker;
+      entry.generation = slot.generation;
       // Leaf locks (the client's status cache); safe under tasks_mu_.
-      entry.rows_out = task->rows_out();
-      entry.progress_age_micros = task->progress_age_micros();
+      entry.rows_out = slot.client->rows_out();
+      entry.progress_age_micros = slot.client->progress_age_micros();
       progress.push_back(entry);
     }
   }
@@ -178,16 +262,9 @@ std::vector<TaskProgress> QueryExecution::TaskProgressSnapshot() const {
 }
 
 QueryStats QueryExecution::StatsSnapshot() const {
-  std::vector<std::shared_ptr<TaskClient>> snapshot;
-  {
-    std::lock_guard<std::mutex> tlock(tasks_mu_);
-    for (const auto& fragment_tasks : tasks_) {
-      for (const auto& task : fragment_tasks) snapshot.push_back(task);
-    }
-  }
   std::vector<TaskStats> task_stats;
   int64_t peak = memory_->peak_user();
-  for (const auto& task : snapshot) {
+  for (const auto& task : ClientsOf(-1)) {
     task_stats.push_back(task->CollectStats());
     peak = std::max(peak, task->peak_user_memory_bytes());
   }
@@ -195,13 +272,8 @@ QueryStats QueryExecution::StatsSnapshot() const {
 }
 
 int64_t QueryExecution::total_cpu_nanos() const {
-  std::lock_guard<std::mutex> tlock(tasks_mu_);
   int64_t total = 0;
-  for (const auto& fragment_tasks : tasks_) {
-    for (const auto& task : fragment_tasks) {
-      total += task->cpu_nanos();
-    }
-  }
+  for (const auto& task : ClientsOf(-1)) total += task->cpu_nanos();
   return total;
 }
 
@@ -224,71 +296,73 @@ void QueryExecution::OnTaskDone(int fragment, int task, int generation,
   {
     std::lock_guard<std::mutex> lock(mu_);
     size_t f = static_cast<size_t>(fragment);
-    size_t t = static_cast<size_t>(task);
     if (recovery_enabled_) {
-      bool stale = false;
-      bool absorbed = false;
-      bool replica_won = false;
-      bool replica_lost = false;
+      enum { kCurrent, kStale, kAbsorbed, kReplicaWon, kReplicaLost };
+      int outcome = kCurrent;
       std::shared_ptr<TaskClient> losing_replica;
       {
         std::lock_guard<std::mutex> tlock(tasks_mu_);
-        auto rit = spec_replicas_.find({fragment, task});
-        if (rit != spec_replicas_.end() &&
-            rit->second.generation == generation) {
+        TaskSlot& slot = slots_[f][static_cast<size_t>(task)];
+        if (slot.replica && slot.replica->generation == generation) {
           // A speculative replica's terminal callback (ISSUE 9). The
-          // registry entry — not the generation table — identifies it:
-          // replicas run at generations_[f][t]+1 without bumping the table
-          // until promotion.
-          if (speculation_ != nullptr && status.ok() && !rit->second.won &&
-              !slot_finished_[f][t] && !finished_ && !memory_->killed()) {
+          // replica record — not the slot's generation — identifies it:
+          // replicas run at generation+1 without bumping the slot until
+          // promotion.
+          if (status.ok() && !slot.finished && !SettledLocked()) {
             // The replica finished first. Hold the callback (no accounting
             // yet, mirroring the recovery holds): the promotion job decides
             // commit-vs-abandon atomically against the result stream and
             // any concurrent recovery round.
-            rit->second.won = true;
-            replica_won = true;
+            slot.replica->won = true;
+            outcome = kReplicaWon;
           } else {
-            // Failed, cancelled, or the original beat it: speculation
-            // lost. The client is parked like any superseded client (its
-            // poll thread may be the very thread delivering this).
-            rit->second.client->MarkSuperseded();
-            superseded_clients_.push_back(rit->second.client);
-            spec_replicas_.erase(rit);
-            replica_lost = true;
+            // Failed, cancelled, or the original beat it: speculation lost.
+            RetireReplicaLocked(slot);
+            outcome = kReplicaLost;
           }
-        } else if (generation != generations_[f][t]) {
-          stale = true;
+        } else if (generation != slot.generation) {
+          outcome = kStale;
         } else if (!status.ok() && !finished_ && !memory_->killed() &&
                    status.code() != StatusCode::kCancelled &&
-                   !slot_recovering_[f][t] && tasks_[f][t]->worker_lost() &&
-                   retry_counts_[f][t] < max_task_retries_) {
+                   !slot.recovering && slot.client->worker_lost() &&
+                   slot.retries < max_task_retries_) {
           // Worker-loss failure with retry budget left: absorb it into a
-          // recovery request. The slot keeps its place in remaining_tasks_
-          // (the "hold") until the recovery thread launches a replacement
-          // or gives up and fails the query.
-          slot_recovering_[f][t] = true;
-          absorbed = true;
+          // recovery job. The slot keeps its place in remaining_tasks_
+          // (the "hold") until the round launches a replacement or gives
+          // up and fails the query.
+          slot.recovering = true;
+          outcome = kAbsorbed;
         } else if (status.ok()) {
-          slot_finished_[f][t] = true;
-          auto ait = spec_replicas_.find({fragment, task});
-          if (ait != spec_replicas_.end() && !ait->second.won) {
+          slot.finished = true;
+          if (slot.replica && !slot.replica->won) {
             // The original out-raced its replica: abort the loser with a
             // task-scoped kCancelled; its callback settles above.
-            losing_replica = ait->second.client;
+            losing_replica = slot.replica->client;
           }
         }
       }
-      if (replica_won) {
-        QueryExecution* self = this;
-        speculation_->Enqueue([self, fragment, task, generation] {
-          self->RunPromotion(fragment, task, generation);
+      if (outcome == kReplicaWon) {
+        EnqueueRound([this, fragment, task, generation] {
+          RunPromotion(fragment, task, generation);
         });
         return;
       }
-      if (replica_lost) {
+      if (outcome == kAbsorbed) {
+        EnqueueRound(
+            [this, fragment, task, generation, status] {
+              RunRecovery(fragment, task, generation, status);
+            },
+            ControlQueue::Key{fragment, task, generation});
+        return;
+      }
+      if (losing_replica != nullptr) losing_replica->Abort();
+      if (outcome == kReplicaLost || outcome == kStale) {
+        // A lost replica, or a superseded incarnation whose replacement
+        // already re-accounted the slot: only the callback count drops.
+        // Its status — success or failure — is moot.
         --remaining_tasks_;
-        if (lifecycle_ != nullptr && lifecycle_->trace() != nullptr) {
+        if (outcome == kReplicaLost && lifecycle_ != nullptr &&
+            lifecycle_->trace() != nullptr) {
           lifecycle_->trace()->RecordInstant(
               "coordinator", "speculation_lose", 0, 0,
               {{"fragment", std::to_string(fragment)},
@@ -299,27 +373,8 @@ void QueryExecution::OnTaskDone(int fragment, int task, int generation,
         done_cv_.notify_all();
         return;
       }
-      if (losing_replica != nullptr) losing_replica->Abort();
-      if (stale) {
-        // A superseded incarnation settled: the recovery round that
-        // replaced it already re-accounted the slot, so only the callback
-        // count drops here. Its status — success or failure — is moot.
-        --remaining_tasks_;
-        FinishIfDrainedLocked();
-        done_cv_.notify_all();
-        return;
-      }
-      if (absorbed) {
-        recovery_pause_.store(true);
-        recovery_->Enqueue({fragment, task, generation, status});
-        return;
-      }
     }
-    --remaining_tasks_;
-    --fragment_remaining_[f];
-    if (fragment_remaining_[f] == 0) {
-      fragment_done_[f] = true;
-    }
+    CountCompletionLocked(f);
     if (!status.ok() && !finished_ &&
         status.code() != StatusCode::kCancelled) {
       final_status_ = status;
@@ -365,218 +420,202 @@ void QueryExecution::FinishIfDrainedLocked() {
   }
 }
 
-void QueryExecution::DischargeRecoveryHoldsLocked() {
-  for (size_t f = 0; f < slot_recovering_.size(); ++f) {
-    for (size_t t = 0; t < slot_recovering_[f].size(); ++t) {
-      if (!slot_recovering_[f][t]) continue;
-      slot_recovering_[f][t] = false;
-      --remaining_tasks_;
-      --fragment_remaining_[f];
-      if (fragment_remaining_[f] == 0) fragment_done_[f] = true;
+void QueryExecution::CountCompletionLocked(size_t fragment) {
+  --remaining_tasks_;
+  if (--fragment_remaining_[fragment] == 0) fragment_done_[fragment] = true;
+}
+
+void QueryExecution::DischargeSlotsLocked() {
+  std::lock_guard<std::mutex> tlock(tasks_mu_);
+  for (size_t f = 0; f < slots_.size(); ++f) {
+    for (TaskSlot& slot : slots_[f]) {
+      if (slot.recovering) {
+        // No replacement will consume the hold: count it as completed.
+        slot.recovering = false;
+        CountCompletionLocked(f);
+      }
+      if (slot.replica) RetireReplicaLocked(slot);
     }
   }
+}
+
+void QueryExecution::RetireReplicaLocked(TaskSlot& slot) {
+  const Replica& replica = *slot.replica;
+  replica.client->MarkSuperseded();
+  replica.client->Abort();
+  superseded_clients_.push_back(replica.client);
+  // A won replica's callback already fired and was held; discharge it here
+  // (its queued promotion no-ops on the missing replica). A still-racing
+  // replica's pending callback settles itself on the stale path: its
+  // generation never became the slot's.
+  if (replica.won) --remaining_tasks_;
+  slot.replica.reset();
+}
+
+void QueryExecution::RebindRootLocked() {
+  const TaskSlot& root = slots_[static_cast<size_t>(plan_.root_id)][0];
+  ++root_epoch_;
+  root_fetch_port_ = cluster_->http_port(root.worker);
+  root_fetch_generation_ = root.generation;
+}
+
+void QueryExecution::EnqueueRound(ControlQueue::Job round,
+                                  std::optional<ControlQueue::Key> key) {
+  pending_rounds_.fetch_add(1);
+  bool queued = control_.Enqueue(
+      [this, round = std::move(round)] {
+        round();
+        pending_rounds_.fetch_sub(1);
+      },
+      key);
+  if (!queued) pending_rounds_.fetch_sub(1);
 }
 
 void QueryExecution::OnWorkerDeath(int worker) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (finished_ || finalized_ || defer_finalize_ || memory_->killed()) {
-    return;
-  }
+  if (SettledLocked()) return;
   std::lock_guard<std::mutex> tlock(tasks_mu_);
-  // Every slot hosted on the dead worker becomes a recovery request —
+  // Every slot hosted on the dead worker becomes a recovery job —
   // including finished ones, whose retained replay buffers died with the
   // process; RunRecovery prunes the ones nobody still needs.
-  for (size_t f = 0; f < placement_.size(); ++f) {
-    for (size_t t = 0; t < placement_[f].size(); ++t) {
-      if (placement_[f][t] != worker || slot_recovering_[f][t]) continue;
-      recovery_pause_.store(true);
-      recovery_->Enqueue(
-          {static_cast<int>(f), static_cast<int>(t), generations_[f][t],
-           Status::IOError("worker " + std::to_string(worker) +
-                           " lost: missed heartbeats past liveness "
-                           "timeout")});
+  for (size_t f = 0; f < slots_.size(); ++f) {
+    for (size_t t = 0; t < slots_[f].size(); ++t) {
+      const TaskSlot& slot = slots_[f][t];
+      if (slot.worker != worker || slot.recovering) continue;
+      const int fi = static_cast<int>(f);
+      const int ti = static_cast<int>(t);
+      const int generation = slot.generation;
+      Status cause = Status::IOError(
+          "worker " + std::to_string(worker) +
+          " lost: missed heartbeats past liveness timeout");
+      EnqueueRound(
+          [this, fi, ti, generation, cause] {
+            RunRecovery(fi, ti, generation, cause);
+          },
+          ControlQueue::Key{fi, ti, generation});
     }
   }
 }
 
-void QueryExecution::RunRecovery(const RecoveryRequest& request) {
-  // Enqueuers set the pause too, but the previous request of a multi-slot
-  // round cleared it on completion; re-assert it here so the flag is
-  // reliably up BEFORE this round swaps any client. Together with the
-  // split loop re-checking it under tasks_mu_, that makes the pause a hard
-  // barrier: no split can be delivered to a fresh client in the window
-  // between the swap and the journal replay (where the replay would then
-  // deliver it a second time).
-  recovery_pause_.store(true);
+void QueryExecution::RunRecovery(int fragment, int task, int generation,
+                                 const Status& trigger) {
   Stopwatch timer;
   TraceRecorder* trace =
       lifecycle_ != nullptr ? lifecycle_->trace().get() : nullptr;
   int64_t span_start = trace != nullptr ? trace->NowNanos() : 0;
-
-  struct Replacement {
-    int fragment;
-    int task;
-    int generation;
-    std::shared_ptr<TaskClient> client;
-  };
-  std::vector<Replacement> replacements;
-  bool failed_query = false;
+  std::vector<Incarnation> batch;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    // A worker can die while Execute()'s launch loop is still issuing the
-    // gen-0 creates; recovering before the loop finishes would mutate
-    // tasks_ under its feet (and double-Launch replacements). Wait it out.
+    // A worker can die while Execute() is still launching the gen-0
+    // incarnations; recovering before that finishes would swap clients
+    // under its feet (and double-Launch replacements). Wait it out.
     done_cv_.wait(lock, [this] { return launch_complete_; });
-    if (finished_ || finalized_ || defer_finalize_ || memory_->killed()) {
-      // The query settled (or is settling) — nothing to recover; convert
-      // any absorbed holds back into completions so Wait() can drain.
-      {
-        std::lock_guard<std::mutex> tlock(tasks_mu_);
-        DischargeRecoveryHoldsLocked();
-        DischargeSpeculationLocked();
-      }
-      FinishIfDrainedLocked();
-      done_cv_.notify_all();
-      recovery_pause_.store(false);
-      return;
-    }
-    Status cause = request.cause;
-    std::vector<std::pair<int, int>> restart;
-    int dead = -1;
-    {
+    Status cause = trigger;
+    bool failed_query = false;
+    if (!SettledLocked()) {
       std::lock_guard<std::mutex> tlock(tasks_mu_);
-      size_t rf = static_cast<size_t>(request.fragment);
-      size_t rt = static_cast<size_t>(request.task);
-      if (request.generation != generations_[rf][rt]) {
-        // An earlier round already replaced this incarnation.
-        recovery_pause_.store(false);
-        return;
+      size_t rf = static_cast<size_t>(fragment);
+      TaskSlot& requester = slots_[rf][static_cast<size_t>(task)];
+      // An earlier round already replaced this incarnation.
+      if (generation != requester.generation) return;
+      const int dead = requester.worker;
+      std::vector<std::vector<int>> placement(slots_.size());
+      std::vector<std::vector<bool>> finished(slots_.size());
+      std::vector<std::vector<int>> inputs_of(slots_.size());
+      for (size_t f = 0; f < slots_.size(); ++f) {
+        inputs_of[f] = plan_.fragments[f].inputs;
+        for (const TaskSlot& slot : slots_[f]) {
+          placement[f].push_back(slot.worker);
+          finished[f].push_back(slot.finished);
+        }
       }
-      dead = placement_[rf][rt];
-      std::vector<std::vector<int>> inputs_of(plan_.fragments.size());
-      for (const auto& fragment : plan_.fragments) {
-        inputs_of[static_cast<size_t>(fragment.id)] = fragment.inputs;
-      }
-      restart = ComputeRestartSet(placement_, slot_finished_, inputs_of,
-                                  plan_.root_id, !results_.finished(), dead);
-      if (restart.empty()) {
-        // Nobody needs the dead worker's output anymore (e.g. LIMIT cut
-        // its consumers off). Settle the requesting slot's hold, if any.
-        if (slot_recovering_[rf][rt]) {
-          slot_recovering_[rf][rt] = false;
-          --remaining_tasks_;
-          --fragment_remaining_[rf];
-          if (fragment_remaining_[rf] == 0) fragment_done_[rf] = true;
-        }
-      } else {
-        // Retry budget: every slot that dies with its worker consumes one
-        // retry; closure-collateral restarts on live workers do not.
-        for (const auto& [f, t] : restart) {
-          if (placement_[static_cast<size_t>(f)][static_cast<size_t>(t)] ==
-                  dead &&
-              retry_counts_[static_cast<size_t>(f)]
-                           [static_cast<size_t>(t)] >= max_task_retries_) {
-            failed_query = true;
-            break;
-          }
-        }
-        std::vector<int> alive;
-        for (int w = 0; w < cluster_->num_workers(); ++w) {
-          if (w != dead && cluster_->liveness().IsAlive(w)) {
-            alive.push_back(w);
-          }
-        }
-        if (!failed_query && alive.empty()) {
+      std::vector<std::pair<int, int>> restart =
+          ComputeRestartSet(placement, finished, inputs_of, plan_.root_id,
+                            !results_.finished(), dead);
+      // Retry budget: every slot that dies with its worker consumes one
+      // retry; closure-collateral restarts on live workers do not.
+      bool restarts_root = false;
+      for (const auto& [f, t] : restart) {
+        const TaskSlot& slot =
+            slots_[static_cast<size_t>(f)][static_cast<size_t>(t)];
+        if (slot.worker == dead && slot.retries >= max_task_retries_) {
           failed_query = true;
-          cause = Status::IOError("no live worker left to host replacement "
-                                  "tasks (" + cause.message() + ")");
         }
-        bool restarts_root = false;
+        if (f == plan_.root_id) restarts_root = true;
+      }
+      std::vector<int> alive = LiveWorkers(cluster_, dead);
+      if (!failed_query && !restart.empty() && alive.empty()) {
+        failed_query = true;
+        cause = Status::IOError("no live worker left to host replacement "
+                                "tasks (" + cause.message() + ")");
+      }
+      std::unique_lock<std::mutex> flock(fetch_mu_, std::defer_lock);
+      if (!failed_query && restarts_root) {
+        // May wait for an in-flight result batch to commit its frame
+        // count; a batch committed after this lock lands is either
+        // counted here or dropped by the fetch loop's epoch check.
+        flock.lock();
+        if (root_frames_consumed_ > 0) {
+          failed_query = true;
+          cause = Status::IOError(
+              "worker " + std::to_string(dead) + " lost after " +
+              std::to_string(root_frames_consumed_) +
+              " result frames were already delivered to the client; the "
+              "root stage is not replayable (" + cause.message() + ")");
+        }
+      }
+      if (restart.empty() && requester.recovering) {
+        // Nobody needs the dead worker's output anymore (e.g. LIMIT cut
+        // its consumers off). Settle the requesting slot's hold.
+        requester.recovering = false;
+        CountCompletionLocked(rf);
+      }
+      if (!failed_query && !restart.empty()) {
+        size_t cursor = 0;
+        for (const auto& [fi, ti] : restart) {
+          size_t f = static_cast<size_t>(fi);
+          TaskSlot& slot = slots_[f][static_cast<size_t>(ti)];
+          if (slot.worker == dead) {
+            // Dead-worker victims move to a live worker; collateral
+            // restarts stay put (their worker is fine, only their
+            // input streams went stale).
+            slot.worker = alive[cursor++ % alive.size()];
+            ++slot.retries;
+          }
+          if (slot.replica) {
+            // A replica racing a restarting slot loses: the restart
+            // replaces the slot wholesale. Bump the generation past the
+            // replica's first so neither its pending callback nor the
+            // replacement can collide with it.
+            slot.generation =
+                std::max(slot.generation, slot.replica->generation);
+            RetireReplicaLocked(slot);
+          }
+          ++slot.generation;
+          if (slot.recovering) {
+            // The hold becomes the replacement's outstanding callback.
+            slot.recovering = false;
+          } else {
+            // Still running (its stale callback will subtract later) or
+            // finished (its completion was already counted): either way
+            // the replacement adds one outstanding callback.
+            ++remaining_tasks_;
+          }
+          if (slot.finished) {
+            slot.finished = false;
+            ++fragment_remaining_[f];
+            fragment_done_[f] = false;
+          }
+        }
+        if (restarts_root) RebindRootLocked();
+        if (flock.owns_lock()) flock.unlock();
+        // Every slot's worker and generation is final now, so each
+        // replacement's create request names current producer endpoints.
         for (const auto& [f, t] : restart) {
-          if (f == plan_.root_id) restarts_root = true;
+          batch.push_back(ReincarnateLocked(f, t));
         }
-        std::unique_lock<std::mutex> flock(fetch_mu_, std::defer_lock);
-        if (!failed_query && restarts_root) {
-          // May wait for an in-flight result batch to commit its frame
-          // count; a batch committed after this lock lands is either
-          // counted here or dropped by the fetch loop's epoch check.
-          flock.lock();
-          if (root_frames_consumed_ > 0) {
-            failed_query = true;
-            cause = Status::IOError(
-                "worker " + std::to_string(dead) + " lost after " +
-                std::to_string(root_frames_consumed_) +
-                " result frames were already delivered to the client; the "
-                "root stage is not replayable (" + cause.message() + ")");
-          }
-        }
-        if (!failed_query) {
-          size_t cursor = 0;
-          for (const auto& [fi, ti] : restart) {
-            size_t f = static_cast<size_t>(fi);
-            size_t t = static_cast<size_t>(ti);
-            if (placement_[f][t] == dead) {
-              // Dead-worker victims move to a live worker; collateral
-              // restarts stay put (their worker is fine, only their
-              // input streams went stale).
-              placement_[f][t] = alive[cursor++ % alive.size()];
-              ++retry_counts_[f][t];
-            }
-            if (auto sit = spec_replicas_.find({fi, ti});
-                sit != spec_replicas_.end()) {
-              // A replica racing a restarting slot loses: the restart
-              // replaces the slot wholesale. Bump the table past the
-              // replica's generation first so neither its pending callback
-              // nor the replacement can collide with it, and discharge a
-              // won replica's held callback (its queued promotion later
-              // no-ops on the missing entry).
-              generations_[f][t] =
-                  std::max(generations_[f][t], sit->second.generation);
-              if (sit->second.won) --remaining_tasks_;
-              sit->second.client->MarkSuperseded();
-              sit->second.client->Abort();
-              superseded_clients_.push_back(sit->second.client);
-              spec_replicas_.erase(sit);
-            }
-            ++generations_[f][t];
-            if (slot_recovering_[f][t]) {
-              // The hold becomes the replacement's outstanding callback.
-              slot_recovering_[f][t] = false;
-            } else {
-              // Still running (its stale callback will subtract later) or
-              // finished (its completion was already counted): either way
-              // the replacement adds one outstanding callback.
-              ++remaining_tasks_;
-            }
-            if (slot_finished_[f][t]) {
-              slot_finished_[f][t] = false;
-              ++fragment_remaining_[f];
-              fragment_done_[f] = false;
-            }
-          }
-          if (restarts_root) {
-            ++root_epoch_;
-            size_t root = static_cast<size_t>(plan_.root_id);
-            root_fetch_port_ = cluster_->http_port(placement_[root][0]);
-            root_fetch_generation_ = generations_[root][0];
-          }
-          if (flock.owns_lock()) flock.unlock();
-          for (const auto& [fi, ti] : restart) {
-            size_t f = static_cast<size_t>(fi);
-            size_t t = static_cast<size_t>(ti);
-            // The old client stays alive until its callback settles, but
-            // must never feed splits or writer updates to the worker-side
-            // replacement entry that now owns the task id.
-            tasks_[f][t]->MarkSuperseded();
-            superseded_clients_.push_back(tasks_[f][t]);
-            auto fresh = MakeRemoteClientLocked(fi, ti);
-            tasks_[f][t] = fresh;
-            replacements.push_back({fi, ti, generations_[f][t], fresh});
-          }
-          if (retries_counter_ != nullptr) {
-            retries_counter_->Increment(
-                static_cast<int64_t>(replacements.size()));
-          }
+        if (retries_counter_ != nullptr) {
+          retries_counter_->Increment(static_cast<int64_t>(batch.size()));
         }
       }
     }
@@ -586,64 +625,16 @@ void QueryExecution::RunRecovery(const RecoveryRequest& request) {
       results_.Finish(cause);
       memory_->Kill(cause);
       AbortAllTasks();
-      {
-        std::lock_guard<std::mutex> tlock(tasks_mu_);
-        DischargeRecoveryHoldsLocked();
-        DischargeSpeculationLocked();
-      }
     }
+    // The query settled (or is settling): nothing to recover; convert any
+    // absorbed holds back into completions so Wait() can drain.
+    if (SettledLocked()) DischargeSlotsLocked();
     FinishIfDrainedLocked();
     done_cv_.notify_all();
   }
-  if (failed_query || replacements.empty()) {
-    recovery_pause_.store(false);
-    return;
-  }
-
-  // Launch the replacements (create RPCs) outside every lock: a launch
-  // failure re-enters OnTaskDone, which takes mu_.
-  std::vector<std::tuple<int, int, int, Status>> launch_failures;
-  for (const auto& r : replacements) {
-    QueryExecution* raw = this;
-    int f = r.fragment;
-    int t = r.task;
-    int gen = r.generation;
-    Status launched = r.client->Launch([raw, f, t, gen](Status status) {
-      raw->OnTaskDone(f, t, gen, status);
-    });
-    if (!launched.ok()) {
-      launch_failures.emplace_back(f, t, gen, launched);
-    }
-  }
-
-  // Replay the journal: every split the dead incarnation (and everything
-  // restarted with it) ever received, plus the no-more-splits markers the
-  // scheduler already sent. Holding tasks_mu_ keeps the split loop from
-  // interleaving fresh assignments mid-replay.
-  {
-    std::lock_guard<std::mutex> tlock(tasks_mu_);
-    for (const auto& r : replacements) {
-      size_t f = static_cast<size_t>(r.fragment);
-      size_t t = static_cast<size_t>(r.task);
-      if (generations_[f][t] != r.generation) continue;  // superseded again
-      for (const auto& [node, entries] : journal_[f][t].splits) {
-        for (const auto& [split, connector] : entries) {
-          r.client->AddSplit(node, split, connector);
-        }
-      }
-      (void)r.client->FlushSplits();
-      for (int node : no_more_splits_[f]) {
-        r.client->NoMoreSplits(node);
-      }
-    }
-  }
-  recovery_pause_.store(false);
-
-  for (const auto& [f, t, gen, launched] : launch_failures) {
-    OnTaskDone(f, t, gen,
-               Status::IOError("replacement task create failed: " +
-                               launched.message()));
-  }
+  if (batch.empty()) return;
+  const size_t slots = batch.size();
+  LaunchIncarnations(std::move(batch));
 
   if (recovery_histogram_ != nullptr) {
     recovery_histogram_->Observe(timer.ElapsedSeconds());
@@ -651,22 +642,13 @@ void QueryExecution::RunRecovery(const RecoveryRequest& request) {
   if (trace != nullptr) {
     trace->RecordSpan("coordinator", "task_recovery", 0, 0, span_start,
                       trace->NowNanos() - span_start,
-                      {{"slots", std::to_string(replacements.size())},
-                       {"trigger_fragment",
-                        std::to_string(request.fragment)},
-                       {"trigger_task", std::to_string(request.task)}});
+                      {{"slots", std::to_string(slots)},
+                       {"trigger_fragment", std::to_string(fragment)},
+                       {"trigger_task", std::to_string(task)}});
   }
 }
 
 std::shared_ptr<TaskClient> QueryExecution::MakeRemoteClientLocked(
-    int fragment_id, int task_index) {
-  size_t f = static_cast<size_t>(fragment_id);
-  size_t t = static_cast<size_t>(task_index);
-  return MakeRemoteClientForLocked(fragment_id, task_index,
-                                   placement_[f][t], generations_[f][t]);
-}
-
-std::shared_ptr<TaskClient> QueryExecution::MakeRemoteClientForLocked(
     int fragment_id, int task_index, int worker, int generation) {
   const ClusterConfig& config = cluster_->config();
   size_t f = static_cast<size_t>(fragment_id);
@@ -700,12 +682,11 @@ std::shared_ptr<TaskClient> QueryExecution::MakeRemoteClientForLocked(
       writer_counter != nullptr ? writer_counter->load() : -1;
   create.emit_results_via_exchange = fragment_id == plan_.root_id;
   for (int input : fragment.inputs) {
-    size_t in = static_cast<size_t>(input);
-    for (int it = 0; it < task_counts_[in]; ++it) {
-      create.endpoints.push_back(
-          {input, it,
-           cluster_->http_port(placement_[in][static_cast<size_t>(it)]),
-           generations_[in][static_cast<size_t>(it)]});
+    const auto& producers = slots_[static_cast<size_t>(input)];
+    for (size_t it = 0; it < producers.size(); ++it) {
+      create.endpoints.push_back({input, static_cast<int>(it),
+                                  cluster_->http_port(producers[it].worker),
+                                  producers[it].generation});
     }
   }
 
@@ -730,49 +711,127 @@ std::shared_ptr<TaskClient> QueryExecution::MakeRemoteClientForLocked(
   return std::make_shared<HttpTaskClient>(spec, create.ToJson(), options);
 }
 
-void QueryExecution::DischargeSpeculationLocked() {
-  for (auto it = spec_replicas_.begin(); it != spec_replicas_.end();
-       it = spec_replicas_.erase(it)) {
-    SpecReplica& replica = it->second;
-    replica.client->MarkSuperseded();
-    replica.client->Abort();
-    superseded_clients_.push_back(replica.client);
-    if (replica.won) {
-      // Its terminal callback already fired and was held; discharge it
-      // here (the queued promotion no-ops on the missing entry). A still-
-      // racing replica's pending callback settles itself instead: with
-      // the entry gone it lands on the stale path (its generation never
-      // entered the generations_ table).
-      --remaining_tasks_;
+QueryExecution::Incarnation QueryExecution::ReincarnateLocked(int fragment,
+                                                              int task) {
+  TaskSlot& slot =
+      slots_[static_cast<size_t>(fragment)][static_cast<size_t>(task)];
+  // The old client stays alive until its callback settles, but must never
+  // feed splits or writer updates to the worker-side replacement entry
+  // that now owns the task id.
+  slot.client->MarkSuperseded();
+  superseded_clients_.push_back(slot.client);
+  slot.client =
+      MakeRemoteClientLocked(fragment, task, slot.worker, slot.generation);
+  return {fragment, task, slot.generation, slot.client, /*replica=*/false};
+}
+
+void QueryExecution::LaunchIncarnations(std::vector<Incarnation> batch) {
+  std::vector<Status> launched(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Incarnation& incarnation = batch[i];
+    // A failure may already have failed the query and aborted every task
+    // launched so far. Creating MORE tasks after that sweep would strand
+    // them: nothing aborts them again, their callbacks never fire, and
+    // Wait() hangs. Settle them without launching instead.
+    bool query_failed;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      query_failed = finished_;
     }
+    if (query_failed) {
+      launched[i] = Status::Cancelled("query failed before launch");
+      continue;
+    }
+    // Raw capture is safe: ~QueryExecution waits for every task callback
+    // before releasing the object.
+    launched[i] = incarnation.client->Launch(
+        [this, f = incarnation.fragment, t = incarnation.task,
+         gen = incarnation.generation](Status status) {
+          OnTaskDone(f, t, gen, status);
+        });
+  }
+
+  // Replay the journal: every split the slot ever received, plus the
+  // no-more-splits markers the scheduler already sent. Holding tasks_mu_
+  // keeps the split loop from interleaving fresh assignments mid-replay,
+  // and a replica is marked replayed in the same critical section, so no
+  // split can be both replayed and forwarded to it.
+  {
+    std::lock_guard<std::mutex> tlock(tasks_mu_);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Incarnation& incarnation = batch[i];
+      size_t f = static_cast<size_t>(incarnation.fragment);
+      TaskSlot& slot = slots_[f][static_cast<size_t>(incarnation.task)];
+      const bool current =
+          incarnation.replica
+              ? slot.replica && slot.replica->generation ==
+                                    incarnation.generation
+              : slot.generation == incarnation.generation;
+      // Superseded again, or a failed create settled below.
+      if (!current || !launched[i].ok()) continue;
+      for (const auto& [node, entries] : slot.journal) {
+        for (const auto& [split, connector] : entries) {
+          incarnation.client->AddSplit(node, split, connector);
+        }
+      }
+      (void)incarnation.client->FlushSplits();
+      for (int node : no_more_splits_[f]) {
+        incarnation.client->NoMoreSplits(node);
+      }
+      if (incarnation.replica) slot.replica->replayed = true;
+    }
+  }
+
+  // No callback will ever fire for a failed create; settle it directly so
+  // Wait() terminates and the failure becomes the query status (or a
+  // recovery job, or a lost replica).
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (launched[i].ok()) continue;
+    OnTaskDone(batch[i].fragment, batch[i].task, batch[i].generation,
+               launched[i]);
+  }
+  // An asynchronous failure can interleave with the launches above: a task
+  // launched after that failure's abort sweep would be missed by it.
+  // Re-sweep now that the batch is complete.
+  if (process_mode_) {
+    bool query_failed;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      query_failed = finished_;
+    }
+    if (query_failed) AbortAllTasks();
   }
 }
 
 void QueryExecution::SpeculationTick() {
-  struct ReplicaLaunch {
-    int fragment;
-    int task;
-    int generation;
-    std::shared_ptr<TaskClient> client;
-    bool launch_failed = false;
-    Status launch_status = Status::OK();
-  };
-  std::vector<ReplicaLaunch> launches;
+  std::vector<Incarnation> batch;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!launch_complete_ || finished_ || finalized_ || defer_finalize_ ||
-        memory_->killed()) {
-      return;
-    }
+    if (!launch_complete_ || SettledLocked()) return;
     std::lock_guard<std::mutex> tlock(tasks_mu_);
-    // Budget counts CONCURRENT replicas: a settled race frees its slot.
+    // Sample every slot — finished siblings included, so a fragment whose
+    // fast tasks already completed still anchors the quantile the stalled
+    // one must be measured against. The budget counts CONCURRENT replicas:
+    // a settled race frees its place.
     SpeculationPolicy policy = speculation_policy_;
-    policy.max_speculative_tasks -= static_cast<int>(spec_replicas_.size());
-    if (policy.max_speculative_tasks <= 0) return;
-    std::vector<int> alive;
-    for (int w = 0; w < cluster_->num_workers(); ++w) {
-      if (cluster_->liveness().IsAlive(w)) alive.push_back(w);
+    std::vector<TaskProgressSample> samples;
+    for (size_t f = 0; f < slots_.size(); ++f) {
+      for (size_t t = 0; t < slots_[f].size(); ++t) {
+        const TaskSlot& slot = slots_[f][t];
+        if (slot.replica) --policy.max_speculative_tasks;
+        TaskProgressSample sample;
+        sample.fragment = static_cast<int>(f);
+        sample.task = static_cast<int>(t);
+        sample.progress = static_cast<double>(slot.client->rows_out());
+        sample.stall_micros = slot.client->progress_age_micros();
+        sample.speculatable = !slot.finished && !slot.recovering &&
+                              !slot.speculated &&
+                              slot.client->worker_alive();
+        samples.push_back(sample);
+      }
     }
+    if (policy.max_speculative_tasks <= 0) return;
+    std::vector<int> alive = LiveWorkers(cluster_);
     if (alive.size() < 2) return;
     // Scale the stall floor by the observed heartbeat RTT: on a slow
     // control plane the status caches themselves lag, and a healthy task
@@ -786,57 +845,35 @@ void QueryExecution::SpeculationTick() {
                                  static_cast<double>(rtt_snapshot.count)));
       }
     }
-    // Sample every slot — finished siblings included, so a fragment whose
-    // fast tasks already completed still anchors the quantile the stalled
-    // one must be measured against.
-    std::vector<TaskProgressSample> samples;
-    for (size_t f = 0; f < tasks_.size(); ++f) {
-      for (size_t t = 0; t < tasks_[f].size(); ++t) {
-        TaskProgressSample sample;
-        sample.fragment = static_cast<int>(f);
-        sample.task = static_cast<int>(t);
-        const auto& client = tasks_[f][t];
-        sample.progress = static_cast<double>(client->rows_out());
-        sample.stall_micros = client->progress_age_micros();
-        sample.speculatable =
-            !slot_finished_[f][t] && !slot_recovering_[f][t] &&
-            speculated_.count({static_cast<int>(f),
-                               static_cast<int>(t)}) == 0 &&
-            client->worker_alive();
-        samples.push_back(sample);
-      }
-    }
     std::vector<std::pair<int, int>> stragglers =
         PickStragglers(samples, policy, static_cast<int>(alive.size()));
     size_t cursor = 0;
     for (const auto& [fi, ti] : stragglers) {
-      size_t f = static_cast<size_t>(fi);
-      size_t t = static_cast<size_t>(ti);
+      TaskSlot& slot = slots_[static_cast<size_t>(fi)][static_cast<size_t>(ti)];
       // The replica must run on a different live worker than the original.
       int target = -1;
       for (size_t i = 0; i < alive.size(); ++i) {
         int w = alive[(cursor + i) % alive.size()];
-        if (w != placement_[f][t]) {
+        if (w != slot.worker) {
           target = w;
           cursor = cursor + i + 1;
           break;
         }
       }
       if (target < 0) continue;
-      const int replica_generation = generations_[f][t] + 1;
-      auto client =
-          MakeRemoteClientForLocked(fi, ti, target, replica_generation);
-      SpecReplica replica;
-      replica.generation = replica_generation;
+      Replica replica;
+      replica.generation = slot.generation + 1;
       replica.worker = target;
-      replica.client = client;
-      spec_replicas_[{fi, ti}] = replica;
-      speculated_.insert({fi, ti});
+      replica.client =
+          MakeRemoteClientLocked(fi, ti, target, replica.generation);
+      batch.push_back(
+          {fi, ti, replica.generation, replica.client, /*replica=*/true});
+      slot.replica = std::move(replica);
+      slot.speculated = true;
       // The replica's own terminal callback joins the drain count; every
-      // exit path (win, loss, recovery absorption, query failure) settles
-      // exactly this +1.
+      // exit path (win, loss, recovery, query failure) settles exactly
+      // this +1.
       ++remaining_tasks_;
-      launches.push_back({fi, ti, replica_generation, client});
       if (speculations_counter_ != nullptr) {
         speculations_counter_->Increment();
       }
@@ -845,93 +882,28 @@ void QueryExecution::SpeculationTick() {
             "coordinator", "task_speculate", 0, 0,
             {{"fragment", std::to_string(fi)},
              {"task", std::to_string(ti)},
-             {"generation", std::to_string(replica_generation)},
+             {"generation", std::to_string(batch.back().generation)},
              {"worker", std::to_string(target)}});
       }
     }
   }
-  if (launches.empty()) return;
-
-  // Create RPCs outside every lock (a failure re-enters OnTaskDone).
-  for (auto& launch : launches) {
-    QueryExecution* self = this;
-    const int f = launch.fragment;
-    const int t = launch.task;
-    const int gen = launch.generation;
-    Status launched = launch.client->Launch([self, f, t, gen](Status status) {
-      self->OnTaskDone(f, t, gen, status);
-    });
-    if (!launched.ok()) {
-      launch.launch_failed = true;
-      launch.launch_status = launched;
-    }
-  }
-
-  // Journal replay: everything the original ever received, then mark the
-  // replica live for split-loop forwarding — atomically under tasks_mu_,
-  // so no split can be both replayed and forwarded.
-  {
-    std::lock_guard<std::mutex> tlock(tasks_mu_);
-    for (const auto& launch : launches) {
-      if (launch.launch_failed) continue;
-      auto it = spec_replicas_.find({launch.fragment, launch.task});
-      if (it == spec_replicas_.end() ||
-          it->second.generation != launch.generation) {
-        continue;  // already settled (e.g. a recovery round absorbed it)
-      }
-      size_t f = static_cast<size_t>(launch.fragment);
-      size_t t = static_cast<size_t>(launch.task);
-      for (const auto& [node, entries] : journal_[f][t].splits) {
-        for (const auto& [split, connector] : entries) {
-          launch.client->AddSplit(node, split, connector);
-        }
-      }
-      (void)launch.client->FlushSplits();
-      for (int node : no_more_splits_[f]) {
-        launch.client->NoMoreSplits(node);
-      }
-      it->second.replayed = true;
-    }
-  }
-
-  for (const auto& launch : launches) {
-    if (!launch.launch_failed) continue;
-    // No callback will ever fire for this replica; settle it through the
-    // lost path directly.
-    OnTaskDone(launch.fragment, launch.task, launch.generation,
-               Status::IOError("speculative replica create failed: " +
-                               launch.launch_status.message()));
-  }
+  if (!batch.empty()) LaunchIncarnations(std::move(batch));
 }
 
 void QueryExecution::RunPromotion(int fragment, int task, int generation) {
-  // Same hard barrier as a recovery round: the split loop must not feed a
-  // client between the swap below and its (already-complete) replay state.
-  recovery_pause_.store(true);
-  struct Replacement {
-    int fragment;
-    int task;
-    int generation;
-    std::shared_ptr<TaskClient> client;
-  };
-  std::vector<Replacement> replacements;
+  std::vector<Incarnation> batch;
   std::shared_ptr<TaskClient> losing_original;
-  bool promoted = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [this] { return launch_complete_; });
     size_t f = static_cast<size_t>(fragment);
-    size_t t = static_cast<size_t>(task);
-    const bool settled =
-        finished_ || finalized_ || defer_finalize_ || memory_->killed();
     {
       std::lock_guard<std::mutex> tlock(tasks_mu_);
-      auto rit = spec_replicas_.find({fragment, task});
-      if (rit == spec_replicas_.end() ||
-          rit->second.generation != generation || !rit->second.won) {
+      TaskSlot& slot = slots_[f][static_cast<size_t>(task)];
+      if (!slot.replica || slot.replica->generation != generation ||
+          !slot.replica->won) {
         // A recovery round or teardown already settled this replica (and
         // discharged its held callback).
-        recovery_pause_.store(false);
         return;
       }
       // Decide commit vs abandon. Promotion restarts every unfinished
@@ -939,7 +911,7 @@ void QueryExecution::RunPromotion(int fragment, int task, int generation) {
       // their RemoteSources are bound to the losing original's buffers
       // and their own partial frame sequences are not reproducible — the
       // same collateral rule recovery applies (DESIGN.md §13).
-      bool illegal = settled || slot_finished_[f][t] || slot_recovering_[f][t];
+      bool illegal = SettledLocked() || slot.finished || slot.recovering;
       std::vector<std::pair<int, int>> restart;
       bool restarts_root = fragment == plan_.root_id;
       if (!illegal) {
@@ -959,10 +931,10 @@ void QueryExecution::RunPromotion(int fragment, int task, int generation) {
           }
         }
         for (int af : affected) {
-          size_t a = static_cast<size_t>(af);
-          for (size_t at = 0; at < slot_finished_[a].size(); ++at) {
-            if (slot_finished_[a][at]) continue;
-            if (slot_recovering_[a][at]) {
+          const auto& consumer_slots = slots_[static_cast<size_t>(af)];
+          for (size_t at = 0; at < consumer_slots.size(); ++at) {
+            if (consumer_slots[at].finished) continue;
+            if (consumer_slots[at].recovering) {
               // A recovery round owns part of the closure; bail out of the
               // promotion rather than fight it (the original keeps
               // running — slow but correct).
@@ -983,14 +955,9 @@ void QueryExecution::RunPromotion(int fragment, int task, int generation) {
         if (root_frames_consumed_ > 0) illegal = true;
       }
       if (illegal) {
-        // Abandon the win: abort the replica and let the original keep
-        // running. Its held callback settles as a plain count drop.
-        SpecReplica replica = rit->second;
-        spec_replicas_.erase(rit);
-        replica.client->MarkSuperseded();
-        replica.client->Abort();
-        superseded_clients_.push_back(replica.client);
-        --remaining_tasks_;
+        // Abandon the win: retire the replica and let the original keep
+        // running.
+        RetireReplicaLocked(slot);
         if (lifecycle_ != nullptr && lifecycle_->trace() != nullptr) {
           lifecycle_->trace()->RecordInstant(
               "coordinator", "speculation_lose", 0, 0,
@@ -1000,42 +967,31 @@ void QueryExecution::RunPromotion(int fragment, int task, int generation) {
                {"reason", "promotion_illegal"}});
         }
       } else {
-        promoted = true;
-        SpecReplica replica = rit->second;
-        spec_replicas_.erase(rit);
         // The replica becomes the slot's incarnation; its held callback
         // becomes the slot's completion.
-        losing_original = tasks_[f][t];
+        Replica replica = std::move(*slot.replica);
+        slot.replica.reset();
+        losing_original = slot.client;
         losing_original->MarkSuperseded();
         superseded_clients_.push_back(losing_original);
-        tasks_[f][t] = replica.client;
-        generations_[f][t] = replica.generation;
-        placement_[f][t] = replica.worker;
-        slot_finished_[f][t] = true;
-        --remaining_tasks_;
-        --fragment_remaining_[f];
-        if (fragment_remaining_[f] == 0) fragment_done_[f] = true;
+        slot.client = replica.client;
+        slot.generation = replica.generation;
+        slot.worker = replica.worker;
+        slot.finished = true;
+        CountCompletionLocked(f);
         // Collateral consumer restarts, exactly like RunRecovery's: they
         // stay on their workers (the same-id higher-generation create
-        // supersedes the old worker-side entry in place).
+        // supersedes the old worker-side entry in place). Each
+        // replacement's callback joins the count; the still-running
+        // original settles later through the stale path.
         for (const auto& [ci, cti] : restart) {
-          size_t cf = static_cast<size_t>(ci);
-          size_t ct = static_cast<size_t>(cti);
-          ++generations_[cf][ct];
-          // The replacement's callback joins the count; the still-running
-          // original settles later through the stale path.
+          ++slots_[static_cast<size_t>(ci)][static_cast<size_t>(cti)]
+                .generation;
           ++remaining_tasks_;
-          tasks_[cf][ct]->MarkSuperseded();
-          superseded_clients_.push_back(tasks_[cf][ct]);
-          auto fresh = MakeRemoteClientLocked(ci, cti);
-          tasks_[cf][ct] = fresh;
-          replacements.push_back({ci, cti, generations_[cf][ct], fresh});
         }
-        if (restarts_root) {
-          ++root_epoch_;
-          size_t root = static_cast<size_t>(plan_.root_id);
-          root_fetch_port_ = cluster_->http_port(placement_[root][0]);
-          root_fetch_generation_ = generations_[root][0];
+        if (restarts_root) RebindRootLocked();
+        for (const auto& [ci, cti] : restart) {
+          batch.push_back(ReincarnateLocked(ci, cti));
         }
         if (wins_counter_ != nullptr) wins_counter_->Increment();
         if (lifecycle_ != nullptr && lifecycle_->trace() != nullptr) {
@@ -1055,49 +1011,7 @@ void QueryExecution::RunPromotion(int fragment, int task, int generation) {
     FinishIfDrainedLocked();
     done_cv_.notify_all();
   }
-  if (!promoted || replacements.empty()) {
-    recovery_pause_.store(false);
-    return;
-  }
-
-  // Launch the collateral replacements outside every lock, then replay
-  // their journals — the same tail as a recovery round.
-  std::vector<std::tuple<int, int, int, Status>> launch_failures;
-  for (const auto& r : replacements) {
-    QueryExecution* self = this;
-    const int rf = r.fragment;
-    const int rt = r.task;
-    const int rgen = r.generation;
-    Status launched = r.client->Launch([self, rf, rt, rgen](Status status) {
-      self->OnTaskDone(rf, rt, rgen, status);
-    });
-    if (!launched.ok()) {
-      launch_failures.emplace_back(rf, rt, rgen, launched);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> tlock(tasks_mu_);
-    for (const auto& r : replacements) {
-      size_t rf = static_cast<size_t>(r.fragment);
-      size_t rt = static_cast<size_t>(r.task);
-      if (generations_[rf][rt] != r.generation) continue;  // superseded again
-      for (const auto& [node, entries] : journal_[rf][rt].splits) {
-        for (const auto& [split, connector] : entries) {
-          r.client->AddSplit(node, split, connector);
-        }
-      }
-      (void)r.client->FlushSplits();
-      for (int node : no_more_splits_[rf]) {
-        r.client->NoMoreSplits(node);
-      }
-    }
-  }
-  recovery_pause_.store(false);
-  for (const auto& [rf, rt, rgen, launched] : launch_failures) {
-    OnTaskDone(rf, rt, rgen,
-               Status::IOError("post-promotion restart create failed: " +
-                               launched.message()));
-  }
+  if (!batch.empty()) LaunchIncarnations(std::move(batch));
 }
 
 void QueryExecution::FinalizeLocked() {
@@ -1109,11 +1023,8 @@ void QueryExecution::FinalizeLocked() {
   // cancelled, or was abandoned — returning every memory-pool
   // reservation, dropping exchange-buffer references, and deleting
   // spill files. A final stats snapshot is cached first so EXPLAIN
-  // ANALYZE still works after teardown. (Recovery swaps hold mu_ too,
-  // so iterating tasks_ under mu_ alone is race-free here.)
-  for (auto& fragment_tasks : tasks_) {
-    for (auto& task : fragment_tasks) task->ReleaseResources();
-  }
+  // ANALYZE still works after teardown.
+  for (const auto& task : ClientsOf(-1)) task->ReleaseResources();
   // Superseded pre-recovery clients are NOT destroyed here: the last stale
   // callback is delivered on its own client's poll thread, which may be
   // the very thread running this finalization — destroying that client
@@ -1331,16 +1242,12 @@ void QueryExecution::SplitSchedulingLoop() {
     }
     return true;
   };
-  auto snapshot_tasks = [this](int fragment) {
-    std::lock_guard<std::mutex> tlock(tasks_mu_);
-    return tasks_[static_cast<size_t>(fragment)];
-  };
 
   bool work_left = true;
   while (!stop_split_thread_.load() && !memory_->killed()) {
-    if (recovery_pause_.load()) {
-      // A recovery round is swapping task clients and replaying journals;
-      // park until the tables are consistent again.
+    if (pending_rounds_.load() > 0) {
+      // A recovery or promotion round is queued or swapping task clients
+      // and replaying journals; park until the slots are consistent again.
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       continue;
     }
@@ -1357,7 +1264,7 @@ void QueryExecution::SplitSchedulingLoop() {
         continue;
       }
       std::vector<std::shared_ptr<TaskClient>> fragment_tasks =
-          snapshot_tasks(pending.fragment);
+          ClientsOf(pending.fragment);
       // Lazy enumeration: pause while queues are deep (§IV-D3).
       size_t min_queue = SIZE_MAX;
       for (const auto& task : fragment_tasks) {
@@ -1385,9 +1292,9 @@ void QueryExecution::SplitSchedulingLoop() {
             // created concurrently can never miss it (it either gets the
             // RPC directly or finds the marker in the journal replay).
             std::lock_guard<std::mutex> tlock(tasks_mu_);
-            if (recovery_pause_.load()) {
-              // A recovery round is between its client swap and its
-              // journal replay: a marker delivered to a fresh client now
+            if (pending_rounds_.load() > 0) {
+              // A round may be between its client swap and its journal
+              // replay: a marker delivered to a fresh client now
               // would precede the replayed splits. Retry after the round
               // (the drained source returns another empty batch).
               continue;
@@ -1397,15 +1304,13 @@ void QueryExecution::SplitSchedulingLoop() {
               no_more_splits_[static_cast<size_t>(pending.fragment)].insert(
                   pending.node_id);
             }
-            for (const auto& task :
-                 tasks_[static_cast<size_t>(pending.fragment)]) {
-              task->NoMoreSplits(pending.node_id);
-            }
-            // Racing speculative replicas of this fragment see the marker
-            // too (pre-replay replicas get it from the journal replay).
-            for (auto& [slot, replica] : spec_replicas_) {
-              if (slot.first == pending.fragment && replica.replayed) {
-                replica.client->NoMoreSplits(pending.node_id);
+            for (TaskSlot& slot :
+                 slots_[static_cast<size_t>(pending.fragment)]) {
+              slot.client->NoMoreSplits(pending.node_id);
+              // A racing replica sees the marker too (before its replay
+              // it gets it from the journal replay instead).
+              if (slot.replica && slot.replica->replayed) {
+                slot.replica->client->NoMoreSplits(pending.node_id);
               }
             }
           }
@@ -1433,7 +1338,7 @@ void QueryExecution::SplitSchedulingLoop() {
         // choice and the delivery and strand the split on a superseded
         // client whose buffered updates go nowhere.
         std::lock_guard<std::mutex> tlock(tasks_mu_);
-        if (recovery_pause_.load()) {
+        if (pending_rounds_.load() > 0) {
           // Loop-top check raced a recovery round: the round may already
           // have swapped fresh clients but not replayed their journals
           // yet, and a split journaled + delivered now would arrive a
@@ -1441,7 +1346,11 @@ void QueryExecution::SplitSchedulingLoop() {
           pending.carryover = std::move(batch);
           continue;
         }
-        auto& current = tasks_[static_cast<size_t>(pending.fragment)];
+        auto& fragment_slots = slots_[static_cast<size_t>(pending.fragment)];
+        std::vector<std::shared_ptr<TaskClient>> current;
+        for (const TaskSlot& slot : fragment_slots) {
+          current.push_back(slot.client);
+        }
         for (size_t si = 0; si < batch.size(); ++si) {
           const auto& split = batch[si];
           int target = -1;
@@ -1468,22 +1377,19 @@ void QueryExecution::SplitSchedulingLoop() {
             }
             target = *target_or;
           }
+          TaskSlot& slot = fragment_slots[static_cast<size_t>(target)];
           if (recovery_enabled_) {
-            journal_[static_cast<size_t>(pending.fragment)]
-                    [static_cast<size_t>(target)]
-                        .splits[pending.node_id]
-                        .emplace_back(split, pending.connector);
+            slot.journal[pending.node_id].emplace_back(split,
+                                                       pending.connector);
           }
-          current[static_cast<size_t>(target)]->AddSplit(
-              pending.node_id, split, pending.connector);
+          slot.client->AddSplit(pending.node_id, split, pending.connector);
           // Mirror the delivery into a racing replica of the same slot —
           // only once its journal replay completed; earlier splits reach
           // it through the replay (forwarding before that would deliver
           // this split twice).
-          auto rit = spec_replicas_.find({pending.fragment, target});
-          if (rit != spec_replicas_.end() && rit->second.replayed) {
-            rit->second.client->AddSplit(pending.node_id, split,
-                                         pending.connector);
+          if (slot.replica && slot.replica->replayed) {
+            slot.replica->client->AddSplit(pending.node_id, split,
+                                           pending.connector);
           }
         }
       }
@@ -1494,7 +1400,7 @@ void QueryExecution::SplitSchedulingLoop() {
       // Ship the batch (buffered update POSTs; no-op in-process). A
       // superseded client turns this into a no-op; a client whose worker
       // just died reports an IOError the journal replay makes good.
-      for (const auto& task : snapshot_tasks(pending.fragment)) {
+      for (const auto& task : ClientsOf(pending.fragment)) {
         Status flushed = task->FlushSplits();
         if (!flushed.ok()) {
           if (recovery_enabled_ &&
@@ -1512,9 +1418,10 @@ void QueryExecution::SplitSchedulingLoop() {
         std::vector<std::shared_ptr<TaskClient>> replica_tasks;
         {
           std::lock_guard<std::mutex> tlock(tasks_mu_);
-          for (auto& [slot, replica] : spec_replicas_) {
-            if (slot.first == pending.fragment && replica.replayed) {
-              replica_tasks.push_back(replica.client);
+          for (const TaskSlot& slot :
+               slots_[static_cast<size_t>(pending.fragment)]) {
+            if (slot.replica && slot.replica->replayed) {
+              replica_tasks.push_back(slot.replica->client);
             }
           }
         }
@@ -1531,9 +1438,9 @@ void QueryExecution::SplitSchedulingLoop() {
         auto& counter = active_writers_[static_cast<size_t>(fragment.id)];
         if (counter == nullptr) continue;
         std::vector<std::shared_ptr<TaskClient>> producer_tasks =
-            snapshot_tasks(fragment.id);
+            ClientsOf(fragment.id);
         int consumer_tasks =
-            static_cast<int>(snapshot_tasks(fragment.consumer).size());
+            task_counts_[static_cast<size_t>(fragment.consumer)];
         if (counter->load() >= consumer_tasks) continue;
         double utilization = 0;
         int count = 0;
@@ -1626,7 +1533,7 @@ Result<std::shared_ptr<QueryExecution>> Coordinator::Execute(
   const FragmentedPlan& fplan = execution->plan_;
   const ClusterConfig& config = cluster_->config();
   size_t num_fragments = fplan.fragments.size();
-  execution->tasks_.resize(num_fragments);
+  execution->slots_.resize(num_fragments);
   execution->active_writers_.resize(num_fragments);
   execution->fragment_remaining_.assign(num_fragments, 0);
   execution->fragment_done_.assign(num_fragments, false);
@@ -1698,27 +1605,19 @@ Result<std::shared_ptr<QueryExecution>> Coordinator::Execute(
     }
   }
 
-  // Scheduling tables: kept for the query's lifetime so recovery can
-  // rebuild any task's create request (ISSUE 7).
+  // Slots and task counts are kept for the query's lifetime so any
+  // incarnation's create request can be rebuilt.
   execution->recovery_enabled_ =
       process_mode && config.max_task_retries > 0;
   execution->max_task_retries_ = config.max_task_retries;
   execution->task_counts_ = task_counts;
-  execution->placement_ = placement;
   execution->fragment_jsons_.resize(num_fragments);
-  execution->generations_.resize(num_fragments);
-  execution->retry_counts_.resize(num_fragments);
-  execution->slot_finished_.resize(num_fragments);
-  execution->slot_recovering_.resize(num_fragments);
-  execution->journal_.resize(num_fragments);
   execution->no_more_splits_.resize(num_fragments);
   for (size_t f = 0; f < num_fragments; ++f) {
-    size_t count = static_cast<size_t>(task_counts[f]);
-    execution->generations_[f].assign(count, 0);
-    execution->retry_counts_[f].assign(count, 0);
-    execution->slot_finished_[f].assign(count, false);
-    execution->slot_recovering_[f].assign(count, false);
-    execution->journal_[f].resize(count);
+    execution->slots_[f].resize(static_cast<size_t>(task_counts[f]));
+    for (size_t t = 0; t < execution->slots_[f].size(); ++t) {
+      execution->slots_[f][t].worker = placement[f][t];
+    }
   }
   execution->retries_counter_ = retries_counter_;
   execution->recovery_histogram_ = recovery_histogram_;
@@ -1755,12 +1654,15 @@ Result<std::shared_ptr<QueryExecution>> Coordinator::Execute(
     for (int t = 0; t < count; ++t) {
       int worker = placement[static_cast<size_t>(fragment.id)]
                             [static_cast<size_t>(t)];
+      QueryExecution::TaskSlot& slot =
+          execution->slots_[static_cast<size_t>(fragment.id)]
+                           [static_cast<size_t>(t)];
       if (process_mode) {
         // Out-of-process task: ship the serialized fragment plus the
         // exchange endpoints of every producer task feeding it. (No lock
-        // needed pre-launch — nothing else references the tables yet.)
-        execution->tasks_[static_cast<size_t>(fragment.id)].push_back(
-            execution->MakeRemoteClientLocked(fragment.id, t));
+        // needed pre-launch — nothing else references the slots yet.)
+        slot.client =
+            execution->MakeRemoteClientLocked(fragment.id, t, worker, 0);
         continue;
       }
 
@@ -1809,11 +1711,9 @@ Result<std::shared_ptr<QueryExecution>> Coordinator::Execute(
           spec, runtime,
           &fplan.fragments[static_cast<size_t>(fragment.id)]);
       PRESTO_RETURN_IF_ERROR(task->Initialize());
-      execution->tasks_[static_cast<size_t>(fragment.id)].push_back(
-          std::make_shared<DirectTaskClient>(std::move(task),
-                                             &cluster_->worker(worker)
-                                                  .executor(),
-                                             &cluster_->exchange()));
+      slot.client = std::make_shared<DirectTaskClient>(
+          std::move(task), &cluster_->worker(worker).executor(),
+          &cluster_->exchange());
     }
   }
 
@@ -1828,89 +1728,45 @@ Result<std::shared_ptr<QueryExecution>> Coordinator::Execute(
 
   // The root fetch target must be set before any Launch is issued: a
   // create that fails synchronously can trigger a recovery round that
-  // re-points root_fetch_port_ at a replacement worker (with an epoch
-  // bump), and a later assignment from the stale local placement would
-  // silently undo that redirect.
-  if (process_mode) {
-    execution->root_fetch_port_ = cluster_->http_port(
-        placement[static_cast<size_t>(fplan.root_id)][0]);
-  }
+  // re-points the fetch loop at a replacement worker (with an epoch
+  // bump), and a later assignment would silently undo that redirect.
+  if (process_mode) execution->RebindRootLocked();
 
-  // Recovery plumbing must exist before the first Launch: a create that
+  // Background plumbing must exist before the first Launch: a create that
   // fails on a just-dead worker re-enters OnTaskDone, which may absorb
-  // the failure into a recovery request immediately.
+  // the failure into a recovery job immediately.
   QueryExecution* raw = execution.get();
   if (execution->recovery_enabled_) {
-    execution->recovery_ = std::make_unique<TaskRecoveryManager>(
-        [raw](const RecoveryRequest& request) { raw->RunRecovery(request); });
     execution->liveness_listener_ = cluster_->liveness().AddDeathListener(
         [raw](int worker) { raw->OnWorkerDeath(worker); });
   }
   if (execution->speculation_enabled_) {
     // Ticks started now are harmless: SpeculationTick early-outs until
     // launch_complete_.
-    execution->speculation_ = std::make_unique<SpeculationManager>(
-        config.speculation_interval_micros, [raw] { raw->SpeculationTick(); });
+    execution->control_.StartTicking(config.speculation_interval_micros,
+                                     [raw] { raw->SpeculationTick(); });
   }
 
   // Launch: register every task with its worker's executor — local MLFQ in
   // kThreads mode, a remote daemon's via the create RPC in kProcess mode
   // (all-at-once; phased mode defers only split enumeration, keeping
   // pipelines available to consume build sides without deadlocks).
-  for (const auto& fragment_tasks : execution->tasks_) {
-    if (trace != nullptr && !fragment_tasks.empty()) {
-      trace->RecordInstant(
-          "scheduler", "stage_scheduled", 0, 0,
-          {{"fragment",
-            std::to_string(fragment_tasks.front()->spec().fragment_id)},
-           {"tasks", std::to_string(fragment_tasks.size())}});
+  std::vector<QueryExecution::Incarnation> gen0;
+  for (size_t f = 0; f < num_fragments; ++f) {
+    if (trace != nullptr) {
+      trace->RecordInstant("scheduler", "stage_scheduled", 0, 0,
+                           {{"fragment", std::to_string(f)},
+                            {"tasks", std::to_string(task_counts[f])}});
     }
-    for (const auto& task : fragment_tasks) {
-      int fragment = task->spec().fragment_id;
-      int task_index = task->spec().task_index;
-      // A create failure earlier in this loop may already have failed the
-      // query (no retry budget) and aborted every task launched so far.
-      // Creating MORE tasks after that sweep would strand them: nothing
-      // aborts them again, their callbacks never fire, and Wait() hangs.
-      // Settle the accounting without launching instead.
-      bool already_failed;
-      {
-        std::lock_guard<std::mutex> lock(execution->mu_);
-        already_failed = execution->finished_;
-      }
-      if (already_failed) {
-        raw->OnTaskDone(fragment, task_index, /*generation=*/0,
-                        Status::Cancelled("query failed before launch"));
-        continue;
-      }
-      // Raw capture is safe: ~QueryExecution waits for every task callback
-      // before releasing the object.
-      Status launched =
-          task->Launch([raw, fragment, task_index](Status status) {
-            raw->OnTaskDone(fragment, task_index, /*generation=*/0, status);
-          });
-      if (!launched.ok()) {
-        // The callback will never fire for this task; settle its
-        // accounting directly so Wait() terminates and the failure
-        // becomes the query status (or a recovery request).
-        raw->OnTaskDone(fragment, task_index, /*generation=*/0, launched);
-      }
+    for (size_t t = 0; t < execution->slots_[f].size(); ++t) {
+      gen0.push_back({static_cast<int>(f), static_cast<int>(t), 0,
+                      execution->slots_[f][t].client, /*replica=*/false});
     }
   }
-  // An asynchronous failure can interleave with the loop above: a task
-  // launched after that failure's abort sweep would be missed by it.
-  // Re-sweep now that the task set is complete.
-  if (process_mode) {
-    bool failed_during_launch;
-    {
-      std::lock_guard<std::mutex> lock(execution->mu_);
-      failed_during_launch = execution->finished_;
-    }
-    if (failed_during_launch) execution->AbortAllTasks();
-  }
+  execution->LaunchIncarnations(std::move(gen0));
 
-  // Unblock recovery: every gen-0 Launch has been issued, so the recovery
-  // thread may now swap replacement clients into tasks_.
+  // Unblock the control thread: every gen-0 incarnation is launched, so
+  // recovery and promotion rounds may now swap clients.
   {
     std::lock_guard<std::mutex> lock(execution->mu_);
     execution->launch_complete_ = true;

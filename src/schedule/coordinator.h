@@ -3,12 +3,16 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -33,6 +37,53 @@ class MetadataManager;
 /// be sitting on a dead worker.
 Result<int> ChooseSplitTarget(
     const std::vector<std::shared_ptr<TaskClient>>& tasks, int node_id);
+
+/// A query's control thread: runs its background slot jobs — recovery
+/// rounds (§13), replica-win promotions and the periodic speculation tick
+/// (§15) — one at a time, in arrival order. The thread starts with the
+/// first job or with StartTicking(). Jobs run without the queue's lock
+/// held, so they may block on coordinator mutexes or enqueue more jobs.
+class ControlQueue {
+ public:
+  using Job = std::function<void()>;
+  /// (fragment, task, generation) of a recovery job.
+  using Key = std::tuple<int, int, int>;
+
+  ControlQueue() = default;
+  ~ControlQueue() { Stop(); }
+
+  ControlQueue(const ControlQueue&) = delete;
+  ControlQueue& operator=(const ControlQueue&) = delete;
+
+  /// Runs `tick` every `interval_micros` (and after each batch of jobs)
+  /// until Stop(). Call before the first Enqueue.
+  void StartTicking(int64_t interval_micros, Job tick);
+
+  /// Queues `job` and returns true. A `key` already queued or running
+  /// drops the duplicate (the liveness listener and the task client's own
+  /// death verdict racing to report one loss); it re-arms once that job
+  /// returned, so a later re-absorb of the same incarnation still runs.
+  /// Every job is dropped after Stop().
+  bool Enqueue(Job job, std::optional<Key> key = std::nullopt);
+
+  /// Runs every queued job, then joins the thread. Idempotent. A queued
+  /// job may be the only thing releasing a held task callback, so the
+  /// owner stops the queue only once nothing waits on one.
+  void Stop();
+
+ private:
+  void StartLocked();
+  void Loop();
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::pair<Job, std::optional<Key>>> jobs_;
+  std::set<Key> keys_;
+  Job tick_;
+  int64_t interval_micros_ = 0;
+  bool stop_ = false;
+  std::thread thread_;
+};
 
 /// A running (or finished) distributed query: owns the per-fragment task
 /// clients, the lazy split-scheduling thread, the writer-scaling monitor,
@@ -75,58 +126,126 @@ class QueryExecution {
   friend class Coordinator;
   QueryExecution() = default;
 
+  /// A speculative replica racing its slot's current incarnation (§15).
+  /// It holds +1 in remaining_tasks_ — its own terminal callback — which
+  /// RetireReplicaLocked or promotion settles.
+  struct Replica {
+    int generation = 0;  // the slot's generation + 1 at launch
+    int worker = -1;     // never the slot's own worker
+    /// Journal replayed; the split loop forwards live deliveries only
+    /// afterwards (earlier ones reach it through the replay).
+    bool replayed = false;
+    /// Finished OK first; its callback is held until RunPromotion decides
+    /// commit-vs-abandon.
+    bool won = false;
+    std::shared_ptr<TaskClient> client;
+  };
+
+  /// Everything the coordinator tracks about one (fragment, task) slot.
+  /// Guarded by tasks_mu_; the vector shapes are fixed before launch.
+  struct TaskSlot {
+    /// Current incarnation: DirectTaskClient in kThreads mode,
+    /// HttpTaskClient in kProcess mode.
+    std::shared_ptr<TaskClient> client;
+    int worker = -1;
+    int generation = 0;
+    int retries = 0;  // dead-worker restarts only
+    bool finished = false;
+    /// Terminal callback absorbed into a queued recovery job:
+    /// remaining_tasks_ still counts the slot (the "hold") until a
+    /// recovery round launches its replacement or fails the query.
+    bool recovering = false;
+    /// Split journal (recovery only): every split ever routed to the slot,
+    /// by scan node, replayed into each new incarnation. Connector
+    /// pointers are catalog-owned and outlive the query.
+    std::map<int, std::vector<std::pair<SplitPtr, Connector*>>> journal;
+    std::optional<Replica> replica;
+    bool speculated = false;  // never two replicas of one slot per query
+  };
+
+  /// A new incarnation of a slot waiting for LaunchIncarnations: gen-0
+  /// tasks, recovery and promotion replacements, speculative replicas.
+  struct Incarnation {
+    int fragment;
+    int task;
+    int generation;
+    std::shared_ptr<TaskClient> client;
+    bool replica;
+  };
+
   void SplitSchedulingLoop();
-  /// Terminal-status callback for task slot (fragment, task). `generation`
-  /// identifies the incarnation that completed: a callback from a
-  /// superseded incarnation only settles its accounting, while a
-  /// current-generation worker-loss failure is absorbed into a recovery
-  /// request instead of failing the query (ISSUE 7).
+  /// Terminal-status callback of incarnation `generation` of slot
+  /// (fragment, task). A superseded incarnation only settles its
+  /// accounting, a current-generation worker-loss failure becomes a
+  /// recovery job (§13), and a replica's callback settles its race (§15).
   void OnTaskDone(int fragment, int task, int generation,
                   const Status& status);
-  /// Best-effort cancel RPC to every task (no-op clients ignore it).
-  /// Snapshots the client vector under tasks_mu_, then calls outside it.
+  /// Best-effort cancel RPC to every task and replica (no-op clients
+  /// ignore it). Snapshots the clients under tasks_mu_, then calls
+  /// outside it.
   void AbortAllTasks();
+  /// The slots' current clients; `fragment` < 0 takes every fragment.
+  std::vector<std::shared_ptr<TaskClient>> ClientsOf(int fragment) const;
   /// Liveness death listener (kProcess with retries): queues a recovery
-  /// request for every unfinished slot placed on `worker`.
+  /// job for every slot placed on `worker`.
   void OnWorkerDeath(int worker);
-  /// Recovery-thread handler for one queued request: computes the restart
-  /// closure, re-places the dead worker's slots on live workers, launches
-  /// generation+1 replacements, and replays their journaled splits — or
-  /// fails the query cleanly when retries are exhausted, no live worker
-  /// remains, or a non-replayable stage (result frames already delivered
-  /// to the client) is involved.
-  void RunRecovery(const RecoveryRequest& request);
-  /// Builds the HTTP client + create request for slot (fragment, task)
-  /// from the current placement_/generations_ tables. Caller holds
-  /// tasks_mu_ (or is single-threaded pre-launch inside Execute()).
-  std::shared_ptr<TaskClient> MakeRemoteClientLocked(int fragment, int task);
-  /// Same, but for an explicit worker and generation (speculative replicas
-  /// run at generation+1 on a worker the placement table does not know
-  /// about until the replica is promoted). Caller holds tasks_mu_.
-  std::shared_ptr<TaskClient> MakeRemoteClientForLocked(int fragment,
-                                                        int task, int worker,
-                                                        int generation);
-  /// SpeculationManager tick (ISSUE 9): samples every slot's progress from
-  /// the status caches, picks stragglers via PickStragglers, and races a
-  /// higher-generation replica on a different live worker against each.
+  /// Queues a recovery or promotion round on the control thread. The
+  /// split loop stays parked from now until the round returned, so no
+  /// split reaches a fresh client between its swap and its journal replay.
+  void EnqueueRound(ControlQueue::Job round,
+                    std::optional<ControlQueue::Key> key = std::nullopt);
+  /// Control-thread recovery round: computes the restart closure,
+  /// re-places the dead worker's slots on live workers and launches
+  /// replacements — or fails the query cleanly when retries are exhausted,
+  /// no live worker remains, or result frames already reached the client.
+  void RunRecovery(int fragment, int task, int generation,
+                   const Status& cause);
+  /// Builds the HTTP client + create request for slot (fragment, task) as
+  /// incarnation `generation` on `worker`; producer endpoints come from
+  /// the slots' current workers and generations. Caller holds tasks_mu_
+  /// (or is single-threaded pre-launch inside Execute()).
+  std::shared_ptr<TaskClient> MakeRemoteClientLocked(int fragment, int task,
+                                                     int worker,
+                                                     int generation);
+  /// Supersedes and parks slot (fragment, task)'s client and installs a
+  /// fresh one for the slot's (already updated) worker and generation.
+  /// Caller holds tasks_mu_.
+  Incarnation ReincarnateLocked(int fragment, int task);
+  /// The one path every new incarnation takes: launches each (outside
+  /// every lock — a create failure re-enters OnTaskDone), replays its
+  /// slot's journal and no-more-splits markers under tasks_mu_, and
+  /// settles failed creates through OnTaskDone.
+  void LaunchIncarnations(std::vector<Incarnation> batch);
+  /// Control-thread speculation tick: samples every slot's progress,
+  /// picks stragglers via PickStragglers, and launches a replica on a
+  /// different live worker for each.
   void SpeculationTick();
-  /// Speculation-thread handler for a replica that finished first: decides
-  /// promotion (the replica becomes the slot's incarnation, consumers of
-  /// its fragment restart like a recovery round, the original is aborted
-  /// kCancelled) or abandonment (results already delivered / recovery owns
-  /// the slot — the replica is aborted and the original keeps running).
+  /// Control-thread handler for a replica that finished first: promotes
+  /// it (it becomes the slot's incarnation, consumers of its fragment
+  /// restart like a recovery round, the original is aborted) or abandons
+  /// it when results already left or recovery owns the slot.
   void RunPromotion(int fragment, int task, int generation);
-  /// Settles every speculative replica during query failure/teardown:
-  /// aborts it, parks its client in superseded_clients_, and discharges a
-  /// won-replica's held completion. Caller holds mu_ and tasks_mu_.
-  void DischargeSpeculationLocked();
+  /// Ends slot's replica race: marks the replica superseded, aborts it,
+  /// parks its client, and drops the held +1 if it had won. Caller holds
+  /// mu_ and tasks_mu_.
+  void RetireReplicaLocked(TaskSlot& slot);
+  /// Query failure/teardown: converts every recovery hold into a
+  /// completion and retires every replica. Caller holds mu_.
+  void DischargeSlotsLocked();
+  /// One completion of fragment `fragment` (a task callback or a settled
+  /// hold). Caller holds mu_.
+  void CountCompletionLocked(size_t fragment);
+  /// Points the result-fetch loop at the root slot's current incarnation.
+  /// Caller holds tasks_mu_ and fetch_mu_.
+  void RebindRootLocked();
+  /// True once the query finished, failed, or is being torn down. Caller
+  /// holds mu_.
+  bool SettledLocked() const {
+    return finished_ || finalized_ || defer_finalize_ || memory_->killed();
+  }
   /// The shared tail of OnTaskDone/RunRecovery under mu_: finishes the
   /// stream and finalizes once remaining_tasks_ drained to zero.
   void FinishIfDrainedLocked();
-  /// Converts every absorbed recovery hold back into a completed-task
-  /// decrement (the query is failing; no replacement will consume them).
-  /// Caller holds mu_ and tasks_mu_.
-  void DischargeRecoveryHoldsLocked();
   /// kProcess only: pulls the root task's output buffer over the exchange
   /// protocol into results_, finishing the stream when the buffer
   /// completes (and aborting still-running upstream producers, e.g. after
@@ -150,10 +269,6 @@ class QueryExecution {
   FragmentedPlan plan_;
   std::unique_ptr<QueryMemory> memory_;
   ResultQueue results_;
-  // tasks_[fragment][task_index]; DirectTaskClient in kThreads mode,
-  // HttpTaskClient in kProcess mode. The vector shape is immutable once
-  // launched; individual elements are swapped by recovery under tasks_mu_.
-  std::vector<std::vector<std::shared_ptr<TaskClient>>> tasks_;
   // Round-robin writer-scaling state per fragment (producer side).
   std::vector<std::unique_ptr<std::atomic<int>>> active_writers_;
 
@@ -169,12 +284,11 @@ class QueryExecution {
   /// thread then owns finishing the stream and running FinalizeLocked().
   bool defer_finalize_ = false;
   bool finalized_ = false;
-  /// Set (under mu_) once Execute()'s initial launch loop has issued every
-  /// gen-0 Launch. RunRecovery() blocks on it: a create that fails
-  /// synchronously mid-loop (worker died before the query started) would
-  /// otherwise let the recovery thread swap replacement clients into
-  /// tasks_ while the loop is still walking it — and the loop would then
-  /// Launch an already-launched replacement a second time.
+  /// Set (under mu_) once Execute() launched every gen-0 incarnation.
+  /// Recovery and promotion jobs wait on it: a create that fails
+  /// synchronously mid-launch (worker died before the query started)
+  /// would otherwise let the control thread swap replacement clients into
+  /// slots whose gen-0 clients are still being launched.
   bool launch_complete_ = false;
 
   std::thread split_thread_;
@@ -194,71 +308,37 @@ class QueryExecution {
   std::thread result_fetch_thread_;
   std::atomic<bool> stop_fetch_thread_{false};
 
-  /// ---- Task recovery on worker death (ISSUE 7; kProcess only). ----
-  /// Guards the slot tables below plus the elements of tasks_. Lock order:
+  /// ---- Task slots. ----
+  /// Guards slots_, no_more_splits_ and superseded_clients_. Lock order:
   /// mu_ before tasks_mu_ before fetch_mu_; never the reverse.
   mutable std::mutex tasks_mu_;
+  std::vector<std::vector<TaskSlot>> slots_;  // [fragment][task]
   bool recovery_enabled_ = false;
   int max_task_retries_ = 0;
-  /// Serialized fragments + scheduling tables kept so a replacement task's
-  /// create request can be rebuilt at any time.
+  /// Serialized fragments and task counts kept so any incarnation's create
+  /// request can be rebuilt at any time.
   std::vector<Json> fragment_jsons_;
   std::vector<int> task_counts_;
-  std::vector<std::vector<int>> placement_;    // [fragment][task] -> worker
-  std::vector<std::vector<int>> generations_;  // current incarnation
-  std::vector<std::vector<int>> retry_counts_; // dead-worker restarts only
-  std::vector<std::vector<bool>> slot_finished_;
-  /// Slot whose terminal callback was absorbed into a pending recovery
-  /// request: remaining_tasks_ still counts it (the "hold") until a
-  /// recovery round launches its replacement or fails the query.
-  std::vector<std::vector<bool>> slot_recovering_;
-  /// Split-assignment journal: everything ever routed to a slot, replayed
-  /// verbatim into its replacement. Connector pointers outlive the query
-  /// (catalog-owned).
-  struct SlotJournal {
-    std::map<int, std::vector<std::pair<SplitPtr, Connector*>>> splits;
-  };
-  std::vector<std::vector<SlotJournal>> journal_;
   std::vector<std::set<int>> no_more_splits_;  // per fragment: closed nodes
-  /// Clients replaced by recovery, kept alive until the execution is
-  /// destroyed: destroying an HttpTaskClient joins its poll thread, and
-  /// that thread may be blocked on mu_ delivering the stale callback (so
-  /// freeing inside the recovery round would deadlock) or may itself be
-  /// the thread running FinalizeLocked() (a self-join). Only
-  /// ~QueryExecution — a waiter thread, after every callback settled —
-  /// may free them. Guarded by tasks_mu_.
+  /// Clients replaced by a newer incarnation or a retired replica, kept
+  /// alive until the execution is destroyed: destroying an HttpTaskClient
+  /// joins its poll thread, and that thread may be blocked on mu_
+  /// delivering the stale callback (so freeing inside a control job would
+  /// deadlock) or may itself be the thread running FinalizeLocked() (a
+  /// self-join). Only ~QueryExecution — a waiter thread, after every
+  /// callback settled — may free them.
   std::vector<std::shared_ptr<TaskClient>> superseded_clients_;
-  /// Parks the split-scheduling loop while a recovery round swaps clients
-  /// and replays journals.
-  std::atomic<bool> recovery_pause_{false};
-  std::unique_ptr<TaskRecoveryManager> recovery_;
+  /// Recovery and promotion rounds queued or running; the split loop
+  /// parks while it is non-zero.
+  std::atomic<int> pending_rounds_{0};
+  ControlQueue control_;
   int liveness_listener_ = -1;
   Counter* retries_counter_ = nullptr;        // presto_task_retries_total
   Histogram* recovery_histogram_ = nullptr;   // recovery latency, seconds
 
   /// ---- Speculative execution of stragglers (ISSUE 9; kProcess only). ----
-  /// One active replica racing a slot's current incarnation. Guarded by
-  /// tasks_mu_. Every registry entry holds +1 in remaining_tasks_ (the
-  /// replica's own terminal callback), so the registry is provably empty
-  /// by the time FinalizeLocked() runs.
-  struct SpecReplica {
-    int generation = 0;   // original generation + 1 at launch time
-    int worker = -1;      // never equal to placement_[fragment][task]
-    /// Journal replayed into the replica; the split loop may forward live
-    /// deliveries only afterwards (pre-replay splits reach the replica via
-    /// the journal — forwarding earlier would deliver them twice).
-    bool replayed = false;
-    /// The replica finished OK and its callback is held until RunPromotion
-    /// decides commit-vs-abandon (mirrors the recovery holds).
-    bool won = false;
-    std::shared_ptr<TaskClient> client;
-  };
-  std::map<std::pair<int, int>, SpecReplica> spec_replicas_;
-  /// Slots ever speculated this query — never two replicas of one task.
-  std::set<std::pair<int, int>> speculated_;
   bool speculation_enabled_ = false;
   SpeculationPolicy speculation_policy_;
-  std::unique_ptr<SpeculationManager> speculation_;
   Counter* speculations_counter_ = nullptr;  // presto_task_speculations_total
   Counter* wins_counter_ = nullptr;          // presto_speculation_wins_total
 

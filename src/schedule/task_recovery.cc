@@ -69,51 +69,4 @@ std::vector<std::pair<int, int>> ComputeRestartSet(
   return result;
 }
 
-void TaskRecoveryManager::Enqueue(RecoveryRequest request) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stop_) return;
-  if (!seen_.insert({request.fragment, request.task, request.generation})
-           .second) {
-    return;
-  }
-  queue_.push_back(std::move(request));
-  if (!started_) {
-    started_ = true;
-    thread_ = std::thread([this] { Loop(); });
-  }
-  cv_.notify_all();
-}
-
-void TaskRecoveryManager::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-    cv_.notify_all();
-  }
-  if (thread_.joinable()) thread_.join();
-}
-
-void TaskRecoveryManager::Loop() {
-  for (;;) {
-    RecoveryRequest request;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      // Drain before stopping: every queued request may carry an
-      // accounting hold the owner's Wait() depends on.
-      if (queue_.empty()) return;
-      request = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    handler_(request);
-    {
-      // Re-arm the dedup entry: a round that turned into a no-op (restart
-      // set empty, hold consumed) must not block a later re-absorb of the
-      // same (fragment, task, generation) from ever being processed.
-      std::lock_guard<std::mutex> lock(mu_);
-      seen_.erase({request.fragment, request.task, request.generation});
-    }
-  }
-}
-
 }  // namespace presto

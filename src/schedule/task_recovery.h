@@ -1,29 +1,11 @@
 #ifndef PRESTOCPP_SCHEDULE_TASK_RECOVERY_H_
 #define PRESTOCPP_SCHEDULE_TASK_RECOVERY_H_
 
-#include <condition_variable>
-#include <deque>
-#include <functional>
-#include <mutex>
-#include <set>
-#include <thread>
-#include <tuple>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
-#include "common/status.h"
-
 namespace presto {
-
-/// One task slot the coordinator wants re-created after a worker died
-/// (ISSUE 7). `generation` is the incarnation whose failure triggered the
-/// request — a request whose generation no longer matches the slot's
-/// current one was already handled by an earlier recovery round.
-struct RecoveryRequest {
-  int fragment = -1;
-  int task = -1;
-  int generation = 0;
-  Status cause = Status::OK();
-};
 
 /// Computes the set of task slots that must be re-created after
 /// `dead_worker` died, as the fixpoint of three rules over the fragment
@@ -51,45 +33,6 @@ std::vector<std::pair<int, int>> ComputeRestartSet(
     const std::vector<std::vector<bool>>& finished,
     const std::vector<std::vector<int>>& inputs_of, int root_fragment,
     bool root_needed, int dead_worker);
-
-/// Serializes recovery work onto one background thread: requests are
-/// deduplicated by (fragment, task, generation) and handed to the handler
-/// in arrival order. The handler runs without any TaskRecoveryManager lock
-/// held, so it may freely call back into Enqueue (a replacement that dies
-/// in turn) or block on coordinator mutexes.
-class TaskRecoveryManager {
- public:
-  using Handler = std::function<void(const RecoveryRequest&)>;
-
-  explicit TaskRecoveryManager(Handler handler)
-      : handler_(std::move(handler)) {}
-  ~TaskRecoveryManager() { Stop(); }
-
-  TaskRecoveryManager(const TaskRecoveryManager&) = delete;
-  TaskRecoveryManager& operator=(const TaskRecoveryManager&) = delete;
-
-  /// Queues a request (starting the worker thread on first use). Duplicate
-  /// (fragment, task, generation) triples — the liveness listener and the
-  /// task client's own death verdict racing each other — collapse to one.
-  void Enqueue(RecoveryRequest request);
-
-  /// Stops the worker thread after it drained the queue. Idempotent. The
-  /// owner must guarantee the handler can still make progress (no pending
-  /// hold depends on an un-processed request) before destroying itself.
-  void Stop();
-
- private:
-  void Loop();
-
-  Handler handler_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<RecoveryRequest> queue_;
-  std::set<std::tuple<int, int, int>> seen_;
-  bool stop_ = false;
-  bool started_ = false;
-  std::thread thread_;
-};
 
 }  // namespace presto
 

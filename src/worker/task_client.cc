@@ -1,5 +1,7 @@
 #include "worker/task_client.h"
 
+#include <pthread.h>
+
 #include <chrono>
 #include <utility>
 
@@ -345,6 +347,9 @@ void HttpTaskClient::FireDone(Status status) {
 }
 
 void HttpTaskClient::PollLoop() {
+  // Named so it does not inherit the name of the thread that launched it
+  // (e.g. the query's control thread).
+  pthread_setname_np(pthread_self(), "presto-taskpoll");
   int consecutive_failures = 0;
   std::unique_ptr<HttpConnection> conn;
   int64_t since = 0;

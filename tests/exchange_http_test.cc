@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <dirent.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <thread>
@@ -11,6 +16,7 @@
 #include "common/fault_injection.h"
 #include "exchange/exchange.h"
 #include "exchange/http/http_io.h"
+#include "exchange/http/http_server.h"
 #include "vector/block.h"
 #include "vector/page.h"
 
@@ -516,6 +522,110 @@ TEST(ExchangeTransferTest, ConcurrentTransfersOverlap) {
   EXPECT_GE(elapsed, 60);
   EXPECT_LT(elapsed, 110) << "transfers serialized instead of overlapping";
   EXPECT_EQ(manager.transferred_bytes(), 2048);
+}
+
+// ---------------------------------------------------------------------------
+// HttpServer connection lifecycle
+// ---------------------------------------------------------------------------
+
+int OpenFdCount() {
+  int count = 0;
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return -1;
+  while (::readdir(dir) != nullptr) ++count;
+  ::closedir(dir);
+  return count;
+}
+
+HttpServer::Handler OkHandler() {
+  return [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "ok";
+    return response;
+  };
+}
+
+HttpRequest Ping() {
+  HttpRequest request;
+  request.method = "GET";
+  request.path = "/ping";
+  return request;
+}
+
+// One request on a fresh connection, closed on return.
+Status PingOnce(int port) {
+  PRESTO_ASSIGN_OR_RETURN(auto conn, ConnectToLoopback(port, 2'000'000));
+  PRESTO_RETURN_IF_ERROR(conn->WriteRequest(Ping()));
+  PRESTO_ASSIGN_OR_RETURN(HttpResponse response, conn->ReadResponse());
+  if (response.status != 200) return Status::IOError("unexpected status");
+  return Status::OK();
+}
+
+TEST(HttpServerTest, FinishedConnectionsReleaseTheirFds) {
+  // Heartbeats and status polls open one short-lived connection after
+  // another; a server that held each until Stop() grew by one fd per
+  // connection until accept() hit EMFILE.
+  HttpServer server(OkHandler());
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(PingOnce(server.port()).ok());
+  const int before = OpenFdCount();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 2000; ++i) {
+    Status pinged = PingOnce(server.port());
+    ASSERT_TRUE(pinged.ok()) << "connection " << i << ": "
+                             << pinged.ToString();
+  }
+  // The last connections' threads end asynchronously after the client
+  // closes; give them a moment.
+  int after = OpenFdCount();
+  for (int i = 0; i < 100 && after > before + 8; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    after = OpenFdCount();
+  }
+  EXPECT_LE(after, before + 8) << "fds grew from " << before << " to "
+                               << after << " over 2000 connections";
+  server.Stop();
+}
+
+TEST(HttpServerTest, AcceptResumesAfterFdExhaustion) {
+  HttpServer server(OkHandler());
+  ASSERT_TRUE(server.Start().ok());
+  // The client socket exists before the limit drops; connect() needs no
+  // new descriptor, but the server's accept() does.
+  int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  HttpConnection conn(client);
+  ASSERT_TRUE(conn.SetRecvTimeout(3'000'000).ok());
+  struct rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  // Every descriptor below the lowest free one is taken, so a soft limit
+  // at that number makes every new descriptor fail with EMFILE.
+  int lowest_free = ::dup(client);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  struct rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  struct sockaddr_in address {};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(static_cast<uint16_t>(server.port()));
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  int connected = ::connect(
+      client, reinterpret_cast<struct sockaddr*>(&address), sizeof(address));
+  // The accept loop now fails with EMFILE on the queued connection.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_EQ(connected, 0);
+
+  // With descriptors available again, the same server accepts the queued
+  // connection and serves it, and new connections too.
+  ASSERT_TRUE(conn.WriteRequest(Ping()).ok());
+  auto response = conn.ReadResponse();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status, 200);
+  EXPECT_TRUE(PingOnce(server.port()).ok());
+  server.Stop();
 }
 
 }  // namespace

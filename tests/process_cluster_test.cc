@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -646,6 +649,116 @@ TEST_F(ProcessClusterTest, StalledWorkerIsOutRacedBySpeculation) {
             0);
   EXPECT_LT(speculated_micros, disabled_micros)
       << "speculation did not beat the stalled run";
+}
+
+// Threads of this process named `name` (the coordinator runs in-process).
+int ThreadsNamed(const std::string& name) {
+  int count = 0;
+  DIR* dir = ::opendir("/proc/self/task");
+  if (dir == nullptr) return -1;
+  while (struct dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] == '.') continue;
+    std::ifstream comm(std::string("/proc/self/task/") + entry->d_name +
+                       "/comm");
+    std::string line;
+    if (std::getline(comm, line) && line == name) ++count;
+  }
+  ::closedir(dir);
+  return count;
+}
+
+// Recovery and speculation at once: worker 1 is stalled hard, so its
+// tasks get speculative replicas on worker 0, which is stalled too, only
+// less — a replica needs several of its quanta to finish. Worker 1 is
+// killed -9 as soon as a replica launched, so recovery restarts the slot
+// while the replica still races, and the restart retires it. The query
+// must finish with the in-process rows, without hanging, and leave no
+// exchange bytes behind. Recovery rounds and speculation ticks share the
+// query's one control thread.
+TEST_F(ProcessClusterTest, WorkerDeathDuringSpeculationRecovers) {
+  StartWorkers(2, /*heartbeat_interval_micros=*/50'000,
+               {"--quantum_nanos=25000"});
+  const char* sql =
+      "SELECT count(*) FROM orders o JOIN lineitem l "
+      "ON o.orderkey = l.orderkey";
+  auto expected = MakeThreadsEngine(2)->ExecuteAndFetch(sql);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  EngineOptions options;
+  options.cluster.mode = ClusterMode::kProcess;
+  options.cluster.remote_workers = addresses_;
+  options.cluster.heartbeat_timeout_micros = 1'000'000;
+  options.cluster.max_speculative_tasks = 4;
+  options.cluster.speculation_quantile = 0.5;
+  options.cluster.speculation_min_samples = 2;
+  options.cluster.speculation_min_stall_micros = 500'000;
+  options.cluster.speculation_interval_micros = 25'000;
+  auto process = std::make_unique<PrestoEngine>(std::move(options));
+  process->catalog().Register(
+      std::make_shared<TpchConnector>("tpch", kScale));
+  process->catalog().SetDefault("tpch");
+  StartHeartbeats(process.get());
+  Counter* speculations = process->metrics().RegisterCounter(
+      "presto_task_speculations_total", "",
+      {{"trace_instant", "task_speculate"}});
+  Counter* wins = process->metrics().RegisterCounter(
+      "presto_speculation_wins_total", "",
+      {{"trace_instant", "speculation_win"}});
+
+  ASSERT_TRUE(workers_[0]->WriteLine("arm_stall_micros=300000").ok());
+  ASSERT_TRUE(workers_[1]->WriteLine("arm_stall_micros=2000000").ok());
+  auto result = process->Execute(sql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (speculations->value() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(speculations->value(), 1) << "no replica was launched";
+  EXPECT_EQ(ThreadsNamed("presto-control"), 1);
+  workers_[1]->Kill();
+  workers_[1]->Wait();
+  // Once recovery restarted worker 1's slots on worker 0, lift worker 0's
+  // stall so the rest of the query runs at full speed.
+  while (RetriesTotal(process.get()) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(RetriesTotal(process.get()), 1);
+  EXPECT_EQ(ThreadsNamed("presto-control"), 1);
+  ASSERT_TRUE(workers_[0]->WriteLine("arm_stall_micros=0").ok());
+
+  auto rows = result->FetchAllRows();
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  auto sorted_got = Sorted(*rows);
+  auto sorted_want = Sorted(*expected);
+  ASSERT_EQ(sorted_got.size(), sorted_want.size());
+  for (size_t r = 0; r < sorted_got.size(); ++r) {
+    ASSERT_EQ(sorted_got[r].size(), sorted_want[r].size());
+    for (size_t c = 0; c < sorted_got[r].size(); ++c) {
+      EXPECT_EQ(sorted_got[r][c].ToString(), sorted_want[r][c].ToString());
+    }
+  }
+  // The replicas were retired by recovery, never promoted.
+  EXPECT_EQ(wins->value(), 0);
+
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  bool drained = false;
+  while (std::chrono::steady_clock::now() < deadline && !drained) {
+    drained = process->cluster().exchange().TotalBufferedBytes() == 0 &&
+              process->cluster().exchange().TotalInflightBytes() == 0 &&
+              process->cluster().exchange().TotalRetainedBytes() == 0;
+    if (drained) {
+      auto info = FetchWorkerInfo(0);
+      drained = info.ok() && info->active_tasks == 0 &&
+                info->buffered_bytes == 0 && info->retained_bytes == 0;
+    }
+    if (!drained) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  }
+  EXPECT_TRUE(drained) << "exchange bytes leaked after recovery";
 }
 
 TEST_F(ProcessClusterTest, WorkerInfoEndpointReports) {
